@@ -75,13 +75,15 @@ bench-serve:
 	$(GO) run scripts/benchserve.go
 
 # fuzz-smoke runs each native fuzz target for a few seconds — enough to
-# execute the seed corpus plus a short mutation run on every decoder.
+# execute the seed corpus plus a short mutation run on every decoder and
+# on the record log's torn-tail recovery.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 5s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReadText$$' -fuzztime 5s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzTraceFeatures$$' -fuzztime 5s
 	$(GO) test ./internal/profile/ -run '^$$' -fuzz '^FuzzParseLog$$' -fuzztime 5s
+	$(GO) test ./internal/recordlog/ -run '^$$' -fuzz '^FuzzRecordLog$$' -fuzztime 5s
 
 # bench-telemetry compares the instrumented steady-state replay loop
 # (telemetry shard attached, as Runner workers run it) against the plain

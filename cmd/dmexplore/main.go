@@ -224,12 +224,7 @@ func run(args []string, out io.Writer) error {
 		surReport = &core.SurrogateReport{}
 		runner.Surrogate = &core.SurrogateOptions{Report: surReport}
 		if *surrogateWarm != "" {
-			wf, err := os.Open(*surrogateWarm)
-			if err != nil {
-				return err
-			}
-			warm, err := telemetry.ReadJournal(wf)
-			wf.Close()
+			warm, err := telemetry.ReadJournalFile(*surrogateWarm)
 			if err != nil {
 				return err
 			}
@@ -283,10 +278,11 @@ func run(args []string, out io.Writer) error {
 		}
 		defer journal.Close()
 		// The journal is the sweep's flight recorder: one line per
-		// configuration, appended as workers complete them, so an
-		// interrupted run still explains itself.
+		// configuration, written as workers complete them, so an
+		// interrupted run still explains itself. A write error sticks
+		// in the journal and fails the run at Close.
 		runner.Observer = func(res core.Result) {
-			_ = journal.Record(res.JournalRecord())
+			journal.Record(res.JournalRecord())
 		}
 	}
 	if !*quiet {
@@ -294,11 +290,26 @@ func run(args []string, out io.Writer) error {
 	}
 
 	start := time.Now()
-	// An interrupted sweep must still explain itself: on SIGINT/SIGTERM
-	// flush the journal tail, write an Interrupted run summary and the
-	// span trace, then exit 128+signal like a shell would. The Once makes
-	// the normal completion path and the signal path mutually exclusive.
+	// An interrupted sweep must still explain itself: the journal and the
+	// results cache are already on disk line by line, so on SIGINT/SIGTERM
+	// write an Interrupted run summary and the span trace, then exit
+	// 128+signal like a shell would. The Once makes the normal completion
+	// path and the signal path mutually exclusive.
 	var finalizeOnce sync.Once
+	runSummary := func(snap telemetry.Snapshot, configs int, elapsed time.Duration) telemetry.RunSummary {
+		return telemetry.RunSummary{
+			Tool:           "dmexplore",
+			Workload:       tr.Name,
+			Space:          space.Name,
+			Strategy:       *strategy,
+			Objectives:     objs,
+			Configurations: configs,
+			JournalRecords: journal.Len(),
+			ElapsedSec:     elapsed.Seconds(),
+			Telemetry:      snap,
+			Stages:         activeStages(spans),
+		}
+	}
 	writeTrace := func() {
 		if *traceOut == "" || spans == nil {
 			return
@@ -321,30 +332,14 @@ func run(args []string, out io.Writer) error {
 			return
 		}
 		finalizeOnce.Do(func() {
-			if journal != nil {
-				_ = journal.Flush()
-			}
 			if *outDir != "" {
 				snap := col.Snapshot()
-				sum := telemetry.RunSummary{
-					Tool:           "dmexplore",
-					Workload:       tr.Name,
-					Space:          space.Name,
-					Strategy:       *strategy,
-					Objectives:     objs,
-					Configurations: int(snap.Done()),
-					ElapsedSec:     time.Since(start).Seconds(),
-					Telemetry:      snap,
-					Stages:         activeStages(spans),
-					Interrupted:    true,
-				}
-				if journal != nil {
-					sum.JournalRecords = journal.Len()
-				}
+				sum := runSummary(snap, int(snap.Done()), time.Since(start))
+				sum.Interrupted = true
 				_ = telemetry.WriteRunSummary(filepath.Join(*outDir, "run-summary.json"), sum)
 			}
 			writeTrace()
-			fmt.Fprintf(os.Stderr, "dmexplore: interrupted (%v), journal flushed\n", sig)
+			fmt.Fprintf(os.Stderr, "dmexplore: interrupted (%v)\n", sig)
 		})
 		code := 130
 		if sig == syscall.SIGTERM {
@@ -498,25 +493,13 @@ func run(args []string, out io.Writer) error {
 	var finErr error
 	finalizeOnce.Do(func() {
 		if *outDir != "" {
-			journalRecords := journal.Len()
 			if err := journal.Close(); err != nil {
 				finErr = fmt.Errorf("closing journal: %w", err)
 				return
 			}
-			sum := telemetry.RunSummary{
-				Tool:           "dmexplore",
-				Workload:       tr.Name,
-				Space:          space.Name,
-				Strategy:       *strategy,
-				Objectives:     objs,
-				Configurations: len(results),
-				Feasible:       len(feasible),
-				ParetoFront:    len(front),
-				JournalRecords: journalRecords,
-				ElapsedSec:     elapsed.Seconds(),
-				Telemetry:      snap,
-				Stages:         activeStages(spans),
-			}
+			sum := runSummary(snap, len(results), elapsed)
+			sum.Feasible = len(feasible)
+			sum.ParetoFront = len(front)
 			if runner.Cache != nil {
 				cs := runner.Cache.Stats()
 				sum.Cache = &telemetry.CacheSummary{
@@ -648,7 +631,7 @@ func runSubmit(out io.Writer, base string, spec serve.JobSpec, outDir string) er
 	start := time.Now()
 	st, err := client.FollowJournal(ctx, id, 0, func(rec telemetry.Record) {
 		if journal != nil {
-			_ = journal.Record(rec)
+			journal.Record(rec) // a write error sticks and fails Close below
 		}
 	})
 	if err != nil {
@@ -670,6 +653,9 @@ func runSubmit(out io.Writer, base string, spec serve.JobSpec, outDir string) er
 		fmt.Fprintln(out)
 	}
 	if journal != nil {
+		if err := journal.Close(); err != nil {
+			return fmt.Errorf("closing journal: %w", err)
+		}
 		fmt.Fprintf(out, "\njournal written to %s\n", filepath.Join(outDir, "journal.jsonl"))
 	}
 	return nil

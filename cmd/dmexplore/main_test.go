@@ -12,9 +12,11 @@ import (
 	"testing"
 	"time"
 
+	"dmexplore/internal/core"
 	"dmexplore/internal/serve"
 	"dmexplore/internal/telemetry"
 	"dmexplore/internal/telemetry/span"
+	"dmexplore/internal/workload"
 )
 
 func TestRunSmallExploration(t *testing.T) {
@@ -305,7 +307,8 @@ func TestRunTraceOutAndStageSummary(t *testing.T) {
 // TestRunSigintFlushesJournal re-executes the test binary as a real
 // dmexplore sweep (helper process below), interrupts it mid-run, and
 // requires the journal tail, an Interrupted run summary and the span
-// trace on disk — the flight recorder's crash-forensics contract.
+// trace on disk — the flight recorder's crash-forensics contract — plus
+// a results cache that resumes every configuration the journal records.
 func TestRunSigintFlushesJournal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-execs the test binary")
@@ -383,6 +386,39 @@ func TestRunSigintFlushesJournal(t *testing.T) {
 	if err != nil || len(events) == 0 {
 		t.Fatalf("trace after SIGINT: %d events, err %v", len(events), err)
 	}
+
+	cache, err := core.OpenResultsCache(filepath.Join(dir, "cache.jsonl"))
+	if err != nil {
+		t.Fatalf("cache after SIGINT: %v", err)
+	}
+	gen, err := workload.New("easyport", 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := gen.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, err := pickSpace("easyport", "narrow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hier, err := pickHierarchy("soc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if rec.CacheHit || rec.Error != "" {
+			continue
+		}
+		cfg, _, err := space.Config(rec.Index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := cache.Get(core.CacheKey(cfg.ID(), tr, hier)); !ok {
+			t.Fatalf("journaled configuration %d missing from the cache after SIGINT (%d entries)", rec.Index, cache.Len())
+		}
+	}
 }
 
 // TestHelperSlowSweep is not a test: it is the child process body for
@@ -397,6 +433,7 @@ func TestHelperSlowSweep(t *testing.T) {
 		"-workload", "easyport", "-scale", "5", "-quiet",
 		"-sample", "256", "-workers", "2", "-eval-latency", "25ms",
 		"-out", dir, "-trace-out", filepath.Join(dir, "run.trace.json"),
+		"-cache", filepath.Join(dir, "cache.jsonl"),
 	}, io.Discard)
 	// The signal handler exits 130 before run returns; reaching here
 	// means the parent never interrupted us.

@@ -165,12 +165,7 @@ func run(args []string, out io.Writer) error {
 // wave, from which parents, and what the surrogate decided — ending in
 // an operator-attribution summary of the whole front.
 func lineageReport(out io.Writer, path string, objs []string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	recs, err := telemetry.ReadJournal(f)
-	f.Close()
+	recs, err := telemetry.ReadJournalFile(path)
 	if err != nil {
 		return err
 	}
@@ -302,12 +297,7 @@ func journalResult(rec telemetry.Record) core.Result {
 // summarizeJournal digests a run journal: where the sweep's time went,
 // what the cache did, which configurations failed and which were slow.
 func summarizeJournal(out io.Writer, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	recs, err := telemetry.ReadJournal(f)
-	f.Close()
+	recs, err := telemetry.ReadJournalFile(path)
 	if err != nil {
 		return err
 	}

@@ -264,3 +264,43 @@ func TestLineageRequiresJournal(t *testing.T) {
 		t.Fatal("-lineage without -journal accepted")
 	}
 }
+
+// TestJournalTornTailIgnored: a killed run's journal ends in a partial
+// line. Reading it yields every record but that last one, so -journal
+// and -lineage work on the crashed run; a complete garbage line is
+// still an error.
+func TestJournalTornTailIgnored(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := telemetry.ReadJournal(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastLine := bytes.LastIndexByte(data[:len(data)-1], '\n') + 1
+	cut := data[:lastLine+(len(data)-lastLine)/2]
+	torn, err := telemetry.ReadJournal(bytes.NewReader(cut))
+	if err != nil {
+		t.Fatalf("torn journal rejected: %v", err)
+	}
+	if got, want := telemetry.Digest(torn), telemetry.Digest(full[:len(full)-1]); got != want {
+		t.Fatalf("torn journal digest %+v, want %+v", got, want)
+	}
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(path, cut, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-journal", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("%d configurations", len(full)-1); !strings.Contains(out.String(), want) {
+		t.Fatalf("-journal on the torn journal lacks %q:\n%s", want, out.String())
+	}
+
+	garbage := append(append([]byte(nil), data[:lastLine]...), "garbage\n"...)
+	if _, err := telemetry.ReadJournal(bytes.NewReader(garbage)); err == nil {
+		t.Fatal("complete garbage line accepted")
+	}
+}

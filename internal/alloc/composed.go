@@ -81,9 +81,6 @@ func NewComposed(name string, ctx *simheap.Context, fixed []*FixedPool, general 
 // Name implements Allocator.
 func (c *Composed) Name() string { return c.name }
 
-// FixedPools returns the dedicated pools in routing order.
-func (c *Composed) FixedPools() []*FixedPool { return c.fixed }
-
 // Fallback returns the general fallback pool.
 func (c *Composed) Fallback() FallbackPool { return c.general }
 

@@ -274,14 +274,6 @@ func (c Config) ID() string {
 	return b.String()
 }
 
-// FixedID returns the canonical identifier of the fixed-pool half of the
-// parameter vector (the routing-determining axes), a prefix of ID().
-func (c Config) FixedID() string {
-	var b strings.Builder
-	c.writeFixedID(&b)
-	return b.String()
-}
-
 // ID returns the canonical identifier of the general-pool parameter
 // vector — the suffix of Config.ID past the fixed pools. The incremental
 // evaluator keys shared standalone general-pool runs by it: two

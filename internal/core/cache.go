@@ -1,17 +1,14 @@
 package core
 
 import (
-	"bufio"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
-	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"dmexplore/internal/memhier"
 	"dmexplore/internal/profile"
+	"dmexplore/internal/recordlog"
 	"dmexplore/internal/trace"
 )
 
@@ -21,14 +18,15 @@ import (
 // trace, hierarchy) triple — any change to the workload or platform
 // invalidates naturally because the key changes.
 //
-// On disk the cache is a JSON-lines file, appended in memory and written
-// atomically by Save.
+// On disk the cache is a record log (see internal/recordlog): Put
+// appends at once, so an interrupted sweep keeps every result it
+// finished, and Save compacts.
 type ResultsCache struct {
-	path string
+	log *recordlog.Log
 
 	mu      sync.Mutex
 	entries map[string]*profile.Metrics
-	dirty   bool
+	dirty   bool // the log holds stale or superseded lines
 
 	// Accounting, atomically updated so Stats can be read while an
 	// exploration's workers are hitting the cache concurrently.
@@ -55,42 +53,28 @@ type cacheEntry struct {
 // OpenResultsCache loads the cache at path, creating an empty one when
 // the file does not exist yet.
 func OpenResultsCache(path string) (*ResultsCache, error) {
-	c := &ResultsCache{path: path, entries: make(map[string]*profile.Metrics)}
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return c, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), 16<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var e cacheEntry
-		if err := json.Unmarshal([]byte(text), &e); err != nil {
-			return nil, fmt.Errorf("core: cache %s line %d: %w", path, line, err)
-		}
+	c := &ResultsCache{entries: make(map[string]*profile.Metrics)}
+	log, err := recordlog.Open(path, func(e cacheEntry) error {
 		if e.Key == "" || e.Metrics == nil {
-			return nil, fmt.Errorf("core: cache %s line %d: incomplete entry", path, line)
+			return errors.New("incomplete entry")
 		}
 		if e.Version != 0 && e.Version != cacheVersion {
 			c.stale.Add(1)
 			c.dirty = true // dropping stale entries rewrites the file on Save
-			continue
+			return nil
+		}
+		if _, seen := c.entries[e.Key]; seen {
+			c.dirty = true // a later line superseded this key
+		} else {
+			c.loaded++
 		}
 		c.entries[e.Key] = e.Metrics
-		c.loaded++
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: cache %w", err)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
+	c.log = log
 	return c, nil
 }
 
@@ -119,16 +103,25 @@ func (c *ResultsCache) Get(key string) (*profile.Metrics, bool) {
 	return m, ok
 }
 
-// Put stores metrics under key. Overwriting an existing entry counts the
-// old one as stale (it was superseded by a recomputation).
+// Put stores metrics under key and appends the entry to the log.
+// Overwriting an existing entry counts the old one as stale (it was
+// superseded by a recomputation). The append runs outside the lock, so
+// concurrent Gets never wait on encoding or I/O; Save repairs a failed
+// append.
 func (c *ResultsCache) Put(key string, m *profile.Metrics) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if old, ok := c.entries[key]; ok && old != m {
+	old, ok := c.entries[key]
+	if old == m {
+		c.mu.Unlock()
+		return
+	}
+	if ok {
 		c.stale.Add(1)
+		c.dirty = true
 	}
 	c.entries[key] = m
-	c.dirty = true
+	c.mu.Unlock()
+	c.log.Append(cacheEntry{Version: cacheVersion, Key: key, Metrics: m})
 }
 
 // Len returns the number of cached entries.
@@ -158,43 +151,20 @@ func (c *ResultsCache) Stats() CacheStats {
 	}
 }
 
-// Save writes the cache atomically (write temp, rename). A clean cache is
-// a no-op.
+// Save releases the log's file handle and compacts the log when it
+// holds stale or superseded lines or an append failed. It returns the
+// compaction's error joined with any append error it did not repair.
 func (c *ResultsCache) Save() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.dirty {
+	if c.log.Close() == nil && !c.dirty {
 		return nil
 	}
-	tmp := c.path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := c.writeAll(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, c.path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	c.dirty = false
-	return nil
-}
-
-func (c *ResultsCache) writeAll(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	recs := make([]any, 0, len(c.entries))
 	for key, m := range c.entries {
-		if err := enc.Encode(cacheEntry{Version: cacheVersion, Key: key, Metrics: m}); err != nil {
-			return err
-		}
+		recs = append(recs, cacheEntry{Version: cacheVersion, Key: key, Metrics: m})
 	}
-	return bw.Flush()
+	err := c.log.Rewrite(recs)
+	c.dirty = err != nil
+	return errors.Join(err, c.log.Close())
 }

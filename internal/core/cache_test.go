@@ -54,6 +54,32 @@ func TestResultsCacheSaveNoopWhenClean(t *testing.T) {
 	}
 }
 
+// TestResultsCacheSaveRepairsFailedAppend: entries whose append failed
+// are not lost; Save's compaction writes them once the disk is usable.
+func TestResultsCacheSaveRepairsFailedAppend(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "later")
+	path := filepath.Join(dir, "cache.jsonl")
+	c, err := OpenResultsCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Put("k1", &profile.Metrics{Accesses: 1}) // the directory is missing: append fails
+	c.Put("k2", &profile.Metrics{Accesses: 2}) // sticky: not written either
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Save(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenResultsCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Len() != 2 {
+		t.Fatalf("reloaded %d entries, want 2", re.Len())
+	}
+}
+
 func TestResultsCacheRejectsCorrupt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.jsonl")
 	os.WriteFile(path, []byte("not json\n"), 0o644)

@@ -1,16 +1,13 @@
 package core
 
 import (
-	"bufio"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
-	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"dmexplore/internal/profile"
+	"dmexplore/internal/recordlog"
 )
 
 // PoolMemoStore persists the session pool-run memo across tool
@@ -23,20 +20,22 @@ import (
 // partition (PoolRun.MatchesOps) before composing, exactly as it does
 // for in-session memo hits.
 //
-// On disk the store is a JSON-lines file (one PoolRunState per line),
-// schema-versioned like ResultsCache: entries recorded under a different
-// version are dropped at load and counted stale. The store honors the
-// same byte budget as the in-session memo (-pool-memo-mb): oldest
-// entries beyond the budget are dropped at load and before Save.
+// On disk the store is a record log (see internal/recordlog) of one
+// PoolRunState per line, appended by Put, schema-versioned like
+// ResultsCache: entries recorded under a different version are dropped
+// at load and counted stale. The store honors the same byte budget as
+// the in-session memo (-pool-memo-mb): oldest entries beyond the budget
+// are dropped at load and on Put, and Save compacts them away. Between
+// compactions the file itself can grow past the budget.
 type PoolMemoStore struct {
-	path   string
+	log    *recordlog.Log
 	budget int64 // retained-bytes bound; 0 = unbounded
 
 	mu      sync.Mutex
 	entries map[string]*profile.PoolRun
 	order   []string // insertion order, oldest first — the eviction order
 	bytes   int64
-	dirty   bool
+	dirty   bool // the log holds stale, duplicate or evicted lines
 
 	hits    atomic.Uint64
 	misses  atomic.Uint64
@@ -65,59 +64,36 @@ func OpenPoolMemoStore(path string, budgetBytes int64) (*PoolMemoStore, error) {
 	if budgetBytes < 0 {
 		budgetBytes = 0
 	}
-	st := &PoolMemoStore{
-		path:    path,
-		budget:  budgetBytes,
-		entries: make(map[string]*profile.PoolRun),
-	}
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return st, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), 64<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var e poolMemoEntry
-		if err := json.Unmarshal([]byte(text), &e); err != nil {
-			return nil, fmt.Errorf("core: pool memo %s line %d: %w", path, line, err)
-		}
+	st := &PoolMemoStore{budget: budgetBytes, entries: make(map[string]*profile.PoolRun)}
+	log, err := recordlog.Open(path, func(e poolMemoEntry) error {
 		if e.Key == "" || e.Run == nil {
-			return nil, fmt.Errorf("core: pool memo %s line %d: incomplete entry", path, line)
+			return errors.New("incomplete entry")
 		}
-		if e.Version != poolMemoVersion {
+		var run *profile.PoolRun
+		if e.Version == poolMemoVersion {
+			run = profile.PoolRunFromState(*e.Run)
+		}
+		if run == nil {
+			// Version skew, or a shape-invalid (hand-edited) state: drop it.
 			st.stale.Add(1)
 			st.dirty = true // dropping stale entries rewrites the file on Save
-			continue
-		}
-		run := profile.PoolRunFromState(*e.Run)
-		if run == nil {
-			// Shape-invalid state (truncated or hand-edited): drop it.
-			st.stale.Add(1)
-			st.dirty = true
-			continue
+			return nil
 		}
 		if _, ok := st.entries[e.Key]; ok {
-			continue
+			st.dirty = true
+			return nil
 		}
 		st.entries[e.Key] = run
 		st.order = append(st.order, e.Key)
 		st.bytes += poolMemoEntryBytes(run)
 		st.loaded++
+		st.enforceBudget() // per record, so loading never holds more than the budget
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: pool memo %w", err)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	st.enforceBudget()
+	st.log = log
 	return st, nil
 }
 
@@ -137,12 +113,10 @@ func (st *PoolMemoStore) enforceBudget() {
 	for st.bytes > st.budget && len(st.order) > 0 {
 		key := st.order[0]
 		st.order = st.order[1:]
-		if run, ok := st.entries[key]; ok {
-			st.bytes -= poolMemoEntryBytes(run)
-			delete(st.entries, key)
-			st.dropped.Add(1)
-			st.dirty = true
-		}
+		st.bytes -= poolMemoEntryBytes(st.entries[key])
+		delete(st.entries, key)
+		st.dropped.Add(1)
+		st.dirty = true
 	}
 }
 
@@ -160,22 +134,26 @@ func (st *PoolMemoStore) Get(key string) (*profile.PoolRun, bool) {
 	return run, ok
 }
 
-// Put stores a freshly built run under key. First write wins: runs are
-// content-keyed, so a duplicate Put carries an identical run.
+// Put stores a freshly built run under key and appends it to the log.
+// First write wins: runs are content-keyed, so a duplicate Put carries
+// an identical run. The run is encoded and appended outside the lock,
+// so concurrent Gets never wait on it; Save repairs a failed append.
 func (st *PoolMemoStore) Put(key string, run *profile.PoolRun) {
 	if run == nil {
 		return
 	}
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	if _, ok := st.entries[key]; ok {
+		st.mu.Unlock()
 		return
 	}
 	st.entries[key] = run
 	st.order = append(st.order, key)
 	st.bytes += poolMemoEntryBytes(run)
-	st.dirty = true
 	st.enforceBudget()
+	st.mu.Unlock()
+	state := run.State()
+	st.log.Append(poolMemoEntry{Version: poolMemoVersion, Key: key, Run: &state})
 }
 
 // Len returns the number of stored runs.
@@ -211,49 +189,23 @@ func (st *PoolMemoStore) Stats() PoolMemoStats {
 	}
 }
 
-// Save writes the store atomically (write temp, rename), oldest entry
-// first so a later load under the same budget keeps the same survivors.
-// A clean store is a no-op.
+// Save releases the log's file handle and compacts the log when it
+// holds stale, duplicate or evicted lines or an append failed, oldest
+// entry first so a later load under the same budget keeps the same
+// survivors. It returns the compaction's error joined with any append
+// error it did not repair.
 func (st *PoolMemoStore) Save() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if !st.dirty {
+	if st.log.Close() == nil && !st.dirty {
 		return nil
 	}
-	tmp := st.path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := st.writeAll(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, st.path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	st.dirty = false
-	return nil
-}
-
-func (st *PoolMemoStore) writeAll(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	recs := make([]any, 0, len(st.order))
 	for _, key := range st.order {
-		run, ok := st.entries[key]
-		if !ok {
-			continue
-		}
-		state := run.State()
-		if err := enc.Encode(poolMemoEntry{Version: poolMemoVersion, Key: key, Run: &state}); err != nil {
-			return err
-		}
+		state := st.entries[key].State()
+		recs = append(recs, poolMemoEntry{Version: poolMemoVersion, Key: key, Run: &state})
 	}
-	return bw.Flush()
+	err := st.log.Rewrite(recs)
+	st.dirty = err != nil
+	return errors.Join(err, st.log.Close())
 }

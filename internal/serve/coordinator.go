@@ -1,9 +1,10 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -16,16 +17,17 @@ import (
 	"dmexplore/internal/core"
 	"dmexplore/internal/pareto"
 	"dmexplore/internal/profile"
+	"dmexplore/internal/recordlog"
 	"dmexplore/internal/telemetry"
 	"dmexplore/internal/workload"
 )
 
 // Options configure a Coordinator.
 type Options struct {
-	// StateDir, when non-empty, checkpoints every job as a JSONL journal
-	// (job-<id>.jsonl) flushed per line; a Coordinator opened over the
-	// same directory resumes every job from its checkpoint. Empty
-	// disables persistence.
+	// StateDir, when non-empty, checkpoints every job as a record log
+	// (job-<id>.jsonl, see internal/recordlog) written per line; a
+	// Coordinator opened over the same directory resumes every job from
+	// its checkpoint. Empty disables persistence.
 	StateDir string
 
 	// LeaseTTL is how long a lease survives without a heartbeat before
@@ -100,8 +102,8 @@ type job struct {
 
 	cond *sync.Cond // broadcast on record append / state change (journal followers)
 
-	ckpt     *json.Encoder // nil when persistence is off
-	ckptFile *os.File
+	ckpt    *recordlog.Log // nil when persistence is off or the job has ended
+	ckptErr error          // first checkpoint error, logged once and returned by Close
 }
 
 // ckptLine is one checkpoint journal line. The "t" tag picks the
@@ -154,89 +156,61 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 	return c, nil
 }
 
-// Close releases the checkpoint files. In-flight handlers must have
-// drained (close the HTTP server first).
+// Close releases the checkpoint files and returns each job's first
+// checkpoint write error, joined. In-flight handlers must have drained
+// (close the HTTP server first).
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var err error
+	var errs []error
 	for _, j := range c.jobs {
-		if j.ckptFile != nil {
-			if cerr := j.ckptFile.Close(); err == nil {
-				err = cerr
-			}
-			j.ckptFile = nil
-			j.ckpt = nil
-		}
+		j.closeCheckpoint()
+		errs = append(errs, j.ckptErr)
 	}
-	return err
+	return errors.Join(errs...)
 }
 
-// loadJob replays one checkpoint journal into a live job.
+// loadJob replays one checkpoint journal into a live job. A torn final
+// line (the coordinator died mid-write) is dropped: whatever it
+// recorded is redone by the re-queued shards.
 func (c *Coordinator) loadJob(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	base := filepath.Base(path)
 	id := strings.TrimSuffix(strings.TrimPrefix(base, "job-"), ".jsonl")
 	if n, err := strconv.Atoi(strings.TrimPrefix(id, "j")); err == nil && n >= c.nextJob {
 		c.nextJob = n
 	}
 	var j *job
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), 64<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
+	ckpt, err := recordlog.Open(path, func(l ckptLine) error {
+		if l.T == "spec" {
+			if l.Spec == nil {
+				return errors.New("spec line without spec")
+			}
+			var err error
+			j, err = c.newJob(id, *l.Spec)
+			return err
 		}
-		var l ckptLine
-		if err := json.Unmarshal([]byte(text), &l); err != nil {
-			return fmt.Errorf("serve: checkpoint %s line %d: %w", path, line, err)
+		if j == nil {
+			return nil
 		}
 		switch l.T {
-		case "spec":
-			if l.Spec == nil {
-				return fmt.Errorf("serve: checkpoint %s line %d: spec line without spec", path, line)
-			}
-			j, err = c.newJob(id, *l.Spec)
-			if err != nil {
-				return err
-			}
 		case "result":
-			if j == nil || l.Record == nil {
-				continue
+			if l.Record != nil {
+				c.applyResult(j, l.Shard, *l.Record, l.Metrics)
 			}
-			c.applyResult(j, l.Shard, *l.Record, l.Metrics)
 		case "shard_done":
-			if j == nil {
-				continue
-			}
 			j.done[l.Shard] = true
 		case "migration":
-			if j == nil {
-				continue
-			}
 			j.migOut[l.Gen] = append([]int(nil), l.Imm...)
 		case "done":
-			if j == nil {
-				continue
-			}
 			j.state = "done"
 		case "failed":
-			if j == nil {
-				continue
-			}
 			j.state = "failed"
 			j.failure = l.Err
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("serve: checkpoint %w", err)
 	}
 	if j == nil {
 		return nil
@@ -252,14 +226,8 @@ func (c *Coordinator) loadJob(path string) error {
 	if j.state == "running" && len(j.queue) == 0 {
 		j.state = "done"
 	}
-	if j.state == "running" || j.state == "" {
-		j.state = "running"
-		ck, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
-		}
-		j.ckptFile = ck
-		j.ckpt = json.NewEncoder(ck)
+	if j.state == "running" {
+		j.ckpt = ckpt
 	}
 	c.jobs[id] = j
 	c.jobOrder = append(c.jobOrder, id)
@@ -313,14 +281,29 @@ func (c *Coordinator) applyResult(j *job, shardID int, rec telemetry.Record, m *
 	return true
 }
 
-// checkpoint appends one line to the job's journal. Persistence off or
-// write errors are silent by design: the in-memory run proceeds, only
-// restart durability degrades.
+// checkpoint appends one line to the job's journal. A write error does
+// not stop the in-memory run, only restart durability degrades: the
+// first one is logged and returned by Close.
 func (c *Coordinator) checkpoint(j *job, l ckptLine) {
-	if j.ckpt == nil {
-		return
+	if j.ckpt != nil {
+		j.checkpointFailed(j.ckpt.Append(l))
 	}
-	_ = j.ckpt.Encode(l)
+}
+
+// closeCheckpoint releases the job's checkpoint once the job has ended
+// (or the coordinator closes).
+func (j *job) closeCheckpoint() {
+	if j.ckpt != nil {
+		j.checkpointFailed(j.ckpt.Close())
+		j.ckpt = nil
+	}
+}
+
+func (j *job) checkpointFailed(err error) {
+	if err != nil && j.ckptErr == nil {
+		j.ckptErr = err
+		log.Printf("serve: job %s: checkpoint write failed, restart durability lost: %v", j.id, err)
+	}
 }
 
 // Submit registers a job and returns its ID.
@@ -344,13 +327,11 @@ func (c *Coordinator) Submit(spec JobSpec) (string, error) {
 		return "", err
 	}
 	if c.opts.StateDir != "" {
-		path := filepath.Join(c.opts.StateDir, "job-"+id+".jsonl")
-		f, err := os.Create(path)
+		ckpt, err := recordlog.Create(filepath.Join(c.opts.StateDir, "job-"+id+".jsonl"))
 		if err != nil {
 			return "", err
 		}
-		j.ckptFile = f
-		j.ckpt = json.NewEncoder(f)
+		j.ckpt = ckpt
 	}
 	c.jobs[id] = j
 	c.jobOrder = append(c.jobOrder, id)
@@ -466,11 +447,7 @@ func (c *Coordinator) shardDone(j *job, shardID int, token string) {
 	if allDone && j.state == "running" {
 		j.state = "done"
 		c.checkpoint(j, ckptLine{T: "done"})
-		if j.ckptFile != nil {
-			j.ckptFile.Close()
-			j.ckptFile = nil
-			j.ckpt = nil
-		}
+		j.closeCheckpoint()
 	}
 	j.cond.Broadcast()
 }
@@ -484,11 +461,7 @@ func (c *Coordinator) jobFailed(j *job, msg string) {
 	j.state = "failed"
 	j.failure = msg
 	c.checkpoint(j, ckptLine{T: "failed", Err: msg})
-	if j.ckptFile != nil {
-		j.ckptFile.Close()
-		j.ckptFile = nil
-		j.ckpt = nil
-	}
+	j.closeCheckpoint()
 	for gen, round := range j.rounds {
 		close(round.ready)
 		delete(j.rounds, gen)

@@ -1,16 +1,21 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"io"
 	"math"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"dmexplore/internal/core"
+	"dmexplore/internal/recordlog"
 	"dmexplore/internal/telemetry"
 )
 
@@ -379,6 +384,98 @@ func TestCoordinatorKillAndResume(t *testing.T) {
 		if st.Front[i].Index != refSt.Front[i].Index {
 			t.Fatalf("resumed front member %d: %d vs %d", i, st.Front[i].Index, refSt.Front[i].Index)
 		}
+	}
+}
+
+// TestCoordinatorRestartsOverTornCheckpoint: a coordinator killed
+// mid-write leaves its checkpoint's last line cut part-way. Restarting
+// over it must drop the torn line, re-queue the unfinished shards and
+// finish with the front of an uninterrupted run.
+func TestCoordinatorRestartsOverTornCheckpoint(t *testing.T) {
+	spec := sweepSpec()
+	_, _, refClient := startCoordinator(t, Options{})
+	refID, err := refClient.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	startWorker(t, refClient.Base, "ref", 1)
+	ref := waitJob(t, refClient, refID, 60*time.Second)
+	if ref.State != "done" {
+		t.Fatalf("reference job ended %s: %s", ref.State, ref.Error)
+	}
+
+	// A checkpointed run of the same job, then its checkpoint cut
+	// half-way through the line at its middle.
+	stateDir := t.TempDir()
+	coord, srv, client := startCoordinator(t, Options{StateDir: stateDir})
+	id, err := client.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := startWorker(t, client.Base, "victim", 1)
+	if st := waitJob(t, client, id, 60*time.Second); st.State != "done" {
+		t.Fatalf("checkpointed job ended %s: %s", st.State, st.Error)
+	}
+	stop()
+	srv.Close()
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(stateDir, "job-"+id+".jsonl")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	mid := len(lines) / 2
+	cut := len(bytes.Join(lines[:mid], nil)) + len(lines[mid])/2
+	if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, client2 := startCoordinator(t, Options{StateDir: stateDir})
+	if st, err := client2.Status(id); err != nil || st.State != "running" || st.ShardsDone == st.Shards {
+		t.Fatalf("restarted over the torn checkpoint: %+v, err %v (want running with shards left)", st, err)
+	}
+	startWorker(t, client2.Base, "heir", 1)
+	st := waitJob(t, client2, id, 60*time.Second)
+	if st.State != "done" || st.Results != ref.Results {
+		t.Fatalf("resumed job ended %s with %d results, reference %d", st.State, st.Results, ref.Results)
+	}
+	sort.Slice(st.Front, func(i, k int) bool { return st.Front[i].Index < st.Front[k].Index })
+	sort.Slice(ref.Front, func(i, k int) bool { return ref.Front[i].Index < ref.Front[k].Index })
+	if len(st.Front) != len(ref.Front) {
+		t.Fatalf("resumed front %d members, reference %d", len(st.Front), len(ref.Front))
+	}
+	for i := range st.Front {
+		if st.Front[i].Index != ref.Front[i].Index {
+			t.Fatalf("resumed front member %d: %d vs %d", i, st.Front[i].Index, ref.Front[i].Index)
+		}
+	}
+}
+
+type failWriter struct{ err error }
+
+func (w failWriter) Write([]byte) (int, error) { return 0, w.err }
+
+// TestCheckpointErrorReturnedByClose: a failing checkpoint does not stop
+// the in-memory run, and Close reports the first write error.
+func TestCheckpointErrorReturnedByClose(t *testing.T) {
+	coord, _, client := startCoordinator(t, Options{StateDir: t.TempDir()})
+	id, err := client.Submit(sweepSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	diskFull := errors.New("disk full")
+	coord.mu.Lock()
+	coord.jobs[id].ckpt = recordlog.New(failWriter{diskFull})
+	coord.mu.Unlock()
+	startWorker(t, client.Base, "w1", 1)
+	if st := waitJob(t, client, id, 60*time.Second); st.State != "done" {
+		t.Fatalf("job ended %s: %s", st.State, st.Error)
+	}
+	if err := coord.Close(); !errors.Is(err, diskFull) {
+		t.Fatalf("Close returned %v, want the checkpoint error", err)
 	}
 }
 

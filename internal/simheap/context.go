@@ -23,9 +23,6 @@ import (
 // platforms (ARM-class SoCs).
 const WordSize = 8 // bytes; 64-bit words keep header math simple
 
-// WordBits is the number of bits per word.
-const WordBits = WordSize * 8
-
 // LayerCounters accumulates the per-layer profiling state.
 type LayerCounters struct {
 	Reads  uint64 // word reads charged to this layer

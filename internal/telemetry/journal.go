@@ -1,14 +1,13 @@
 package telemetry
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"strings"
-	"sync"
+	"sync/atomic"
 
+	"dmexplore/internal/recordlog"
 	"dmexplore/internal/telemetry/span"
 )
 
@@ -63,96 +62,62 @@ type Record struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Journal is an append-only JSONL writer, safe for concurrent use by the
-// exploration workers. Writes are buffered; Close flushes.
+// Journal is an append-only record log (see internal/recordlog), safe
+// for concurrent use by the exploration workers. Every Record reaches
+// the file before it returns, so a killed run keeps every line it
+// wrote.
 type Journal struct {
-	mu  sync.Mutex
-	bw  *bufio.Writer
-	enc *json.Encoder
-	c   io.Closer
-	n   int
+	log *recordlog.Log
+	n   atomic.Int64
 }
 
 // NewJournal wraps an open writer (testing, in-memory use).
 func NewJournal(w io.Writer) *Journal {
-	bw := bufio.NewWriter(w)
-	return &Journal{bw: bw, enc: json.NewEncoder(bw)}
+	return &Journal{log: recordlog.New(w)}
 }
 
 // CreateJournal creates (truncating) the journal file at path.
 func CreateJournal(path string) (*Journal, error) {
-	f, err := os.Create(path)
+	log, err := recordlog.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	j := NewJournal(f)
-	j.c = f
-	return j, nil
+	return &Journal{log: log}, nil
 }
 
-// Record appends one line.
+// Record appends one line. The first write error sticks: every later
+// Record and Close returns it.
 func (j *Journal) Record(r Record) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.enc.Encode(r); err != nil {
-		return err
-	}
-	j.n++
-	return nil
+	j.n.Add(1)
+	return j.log.Append(r)
 }
 
-// Len returns the number of records appended so far.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.n
-}
+// Len returns the number of records handed to Record so far.
+func (j *Journal) Len() int { return int(j.n.Load()) }
 
-// Flush pushes buffered records to the underlying writer without
-// closing it — the signal-driven finalize path, where workers may still
-// be appending and the process is about to exit.
-func (j *Journal) Flush() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.bw.Flush()
-}
+// Close closes the underlying file, if any, and returns the first write
+// error.
+func (j *Journal) Close() error { return j.log.Close() }
 
-// Close flushes buffered records and closes the underlying file, if any.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	err := j.bw.Flush()
-	if j.c != nil {
-		if cerr := j.c.Close(); err == nil {
-			err = cerr
-		}
-		j.c = nil
-	}
-	return err
-}
-
-// ReadJournal parses a JSONL journal back into records.
+// ReadJournal parses a JSONL journal back into records. A torn final
+// line (a killed run's last, partial write) is ignored.
 func ReadJournal(r io.Reader) ([]Record, error) {
 	var recs []Record
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 16<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal([]byte(text), &rec); err != nil {
-			return nil, fmt.Errorf("telemetry: journal line %d: %w", line, err)
-		}
+	err := recordlog.Read(r, "telemetry: journal", func(rec Record) error {
 		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	return recs, err
+}
+
+// ReadJournalFile reads the journal at path (see ReadJournal).
+func ReadJournalFile(path string) ([]Record, error) {
+	f, err := os.Open(path)
+	if err != nil {
 		return nil, err
 	}
-	return recs, nil
+	defer f.Close()
+	return ReadJournal(f)
 }
 
 // JournalDigest aggregates a journal for offline inspection (dmreport).

@@ -86,8 +86,9 @@ fuzz-smoke:
 	$(GO) test ./internal/recordlog/ -run '^$$' -fuzz '^FuzzRecordLog$$' -fuzztime 5s
 
 # bench-telemetry compares the instrumented steady-state replay loop
-# (telemetry shard attached, as Runner workers run it) against the plain
-# one. The overhead budget is <2%; benchreplay.go computes the ratio.
+# (a collector's span ring attached, as Runner workers run it) against
+# the plain one. The overhead budget is <2%; benchreplay.go computes the
+# ratio.
 .PHONY: bench-telemetry
 bench-telemetry:
 	$(GO) test ./internal/profile/ -run '^$$' -bench 'BenchmarkReplay(Easyport|Telemetry)' -benchtime 2s -benchmem

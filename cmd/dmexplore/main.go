@@ -133,14 +133,14 @@ func run(args []string, out io.Writer) error {
 	if workerN <= 0 {
 		workerN = runtime.GOMAXPROCS(0)
 	}
-	// The flight recorder is opt-in: tracing costs nothing measurable,
-	// but the overhead gate (make bench-observe) compares against a run
-	// with no recorder attached at all. Created before ingest/compile so
-	// those stages land spans too.
-	var spans *span.Recorder
-	if *traceOut != "" || *metricsAddr != "" {
-		spans = span.NewRecorder(workerN, span.DefaultRingCapacity)
+	// The run's one instrument: stage aggregates always, raw span
+	// buffers only for -trace-out. Created before ingest/compile so
+	// those stages are recorded too.
+	ringCap := 0
+	if *traceOut != "" {
+		ringCap = span.DefaultRingCapacity
 	}
+	spans := span.NewRecorder(workerN, ringCap)
 	var tr *trace.Trace
 	if *tracePath != "" {
 		f, err := os.Open(*tracePath)
@@ -156,9 +156,7 @@ func run(args []string, out io.Writer) error {
 		if err := tr.Validate(); err != nil {
 			return fmt.Errorf("trace %s: %w", *tracePath, err)
 		}
-		if spans != nil {
-			spans.Coord().Since(span.StageTraceIngest, ingestStart, int64(tr.Len()))
-		}
+		spans.Coord().Since(span.StageTraceIngest, ingestStart, int64(tr.Len()))
 	} else {
 		gen, err := workload.New(*workloadName, *seed, *scale)
 		if err != nil {
@@ -212,11 +210,9 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if spans != nil {
-		spans.Coord().Since(span.StageCompile, compileStart, int64(tr.Len()))
-	}
-	col := telemetry.NewCollector(workerN)
-	runner := &core.Runner{Hierarchy: hier, Trace: tr, Compiled: ct, Workers: *workers, Telemetry: col, Incremental: *incremental, EvalLatency: *evalLatency, Spans: spans,
+	spans.Coord().Since(span.StageCompile, compileStart, int64(tr.Len()))
+	col := telemetry.NewCollectorFor(spans)
+	runner := &core.Runner{Hierarchy: hier, Trace: tr, Compiled: ct, Workers: *workers, Telemetry: col, Incremental: *incremental, EvalLatency: *evalLatency,
 		PartitionBudgetBytes: cacheBudgetBytes(*partitionMB),
 		PoolMemoBudgetBytes:  cacheBudgetBytes(*poolMemoMB)}
 	var surReport *core.SurrogateReport
@@ -246,7 +242,7 @@ func run(args []string, out io.Writer) error {
 		}()
 	}
 	if *metricsAddr != "" {
-		srv, err := telemetry.Serve(*metricsAddr, col, spans)
+		srv, err := telemetry.Serve(*metricsAddr, col)
 		if err != nil {
 			return err
 		}
@@ -311,7 +307,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	writeTrace := func() {
-		if *traceOut == "" || spans == nil {
+		if *traceOut == "" {
 			return
 		}
 		if err := spans.WriteTraceFile(*traceOut); err != nil {
@@ -466,14 +462,12 @@ func run(args []string, out io.Writer) error {
 		knee := front[min(k, len(front)-1)]
 		fmt.Fprintf(out, "  knee: config %d %v\n", knee.Index, knee.Labels)
 	}
-	if spans != nil {
-		fmt.Fprintln(out, "\npipeline stages (spans, total time):")
-		for _, st := range activeStages(spans) {
-			fmt.Fprintf(out, "  %-16s %8d %10.3fs\n", st.Name, st.Count, st.Seconds)
-		}
-		if d := spans.Dropped(); d > 0 {
-			fmt.Fprintf(out, "  (%d spans dropped: per-worker ring wrapped)\n", d)
-		}
+	fmt.Fprintln(out, "\npipeline stages (spans, total time):")
+	for _, st := range activeStages(spans) {
+		fmt.Fprintf(out, "  %-16s %8d %10.3fs\n", st.Name, st.Count, st.Seconds)
+	}
+	if d := spans.Dropped(); d > 0 {
+		fmt.Fprintf(out, "  (%d spans dropped: per-worker ring wrapped)\n", d)
 	}
 	fmt.Fprintln(out, "\nfront (index, labels, objectives):")
 	for _, r := range front {
@@ -661,12 +655,9 @@ func runSubmit(out io.Writer, base string, spec serve.JobSpec, outDir string) er
 	return nil
 }
 
-// activeStages reduces the flight recorder to the stages that actually
+// activeStages reduces the span recorder to the stages that actually
 // ran — the run summary's per-stage time breakdown.
 func activeStages(rec *span.Recorder) []span.StageSnapshot {
-	if rec == nil {
-		return nil
-	}
 	var out []span.StageSnapshot
 	for _, st := range rec.Snapshot() {
 		if st.Count > 0 {

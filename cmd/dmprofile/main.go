@@ -113,7 +113,7 @@ func run(args []string, out io.Writer) error {
 
 	col := telemetry.NewCollector(1)
 	if *metricsAddr != "" {
-		srv, err := telemetry.Serve(*metricsAddr, col, nil)
+		srv, err := telemetry.Serve(*metricsAddr, col)
 		if err != nil {
 			return err
 		}
@@ -125,7 +125,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	rep := profile.NewReplayer()
-	rep.Shard = col.Shard(0)
+	rep.Spans = col.Spans().Ring(0)
 	m, err := rep.Run(ct, cfg, hier, opts)
 	if err != nil {
 		return err

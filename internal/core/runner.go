@@ -105,17 +105,20 @@ type Runner struct {
 	Observer func(Result)
 
 	// Telemetry, when non-nil, receives per-worker runtime metrics
-	// (simulation latency, events/sec, cache hits, errors, utilization).
-	// Search strategies issuing several run phases accumulate into the
-	// same collector.
+	// (simulation latency, events/sec, cache hits, errors, utilization),
+	// derived from its span recorder's stage aggregates. Search
+	// strategies issuing several run phases accumulate into the same
+	// collector. When nil, each session builds its own over Spans.
 	Telemetry *telemetry.Collector
 
-	// Spans, when non-nil, is the run's flight recorder: every pipeline
+	// Spans, when non-nil, is the run's span recorder, typically one
+	// that buffers raw spans for a Chrome trace export: every pipeline
 	// stage (simulations, partition builds, cache probes, batch waves,
-	// surrogate screens) lands a typed span in a per-worker ring,
-	// exportable as a Chrome trace. Recording is allocation-free and
-	// purely observational — results are bit-identical with or without
-	// it.
+	// surrogate screens) lands a typed span in a per-worker ring. With
+	// Telemetry also set it must be that collector's recorder
+	// (telemetry.NewCollectorFor); when nil, the collector's own
+	// aggregates-only recorder is used. Recording is allocation-free and
+	// purely observational — results are bit-identical either way.
 	Spans *span.Recorder
 
 	// Options are passed through to every profiling run.

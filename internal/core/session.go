@@ -188,9 +188,15 @@ func (r *Runner) newSession(space *Space, maxWorkers int) (*EvalSession, error) 
 		workers = maxWorkers
 	}
 	col := r.Telemetry
-	if col == nil {
+	switch {
+	case col == nil && r.Spans != nil:
+		col = telemetry.NewCollectorFor(r.Spans)
+	case col == nil:
 		col = telemetry.NewCollector(workers)
+	case r.Spans != nil && r.Spans != col.Spans():
+		return nil, fmt.Errorf("core: Runner.Spans is not the Telemetry collector's recorder (build it with telemetry.NewCollectorFor)")
 	}
+	col.StartWorkers(workers)
 	s := &EvalSession{
 		r:       r,
 		space:   space,
@@ -285,11 +291,7 @@ func (s *EvalSession) EvalAnnotated(indices []int, preds []map[string]float64, o
 	if origins != nil && len(origins) != len(indices) {
 		return nil, fmt.Errorf("core: %d origins for %d indices", len(origins), len(indices))
 	}
-	coord := s.r.Spans.Coord()
-	var waveStart time.Time
-	if coord != nil {
-		waveStart = time.Now()
-	}
+	waveStart := time.Now()
 	results := make([]Result, len(indices))
 	s.total.Add(int64(len(indices)))
 	var batch sync.WaitGroup
@@ -305,7 +307,7 @@ func (s *EvalSession) EvalAnnotated(indices []int, preds []map[string]float64, o
 		s.jobs <- job
 	}
 	batch.Wait()
-	coord.Since(span.StageBatchWave, waveStart, int64(len(indices)))
+	s.col.Spans().Coord().Since(span.StageBatchWave, waveStart, int64(len(indices)))
 	for _, res := range results {
 		if res.Err != nil {
 			return results, fmt.Errorf("core: %w", res.Err)
@@ -324,14 +326,14 @@ func (s *EvalSession) Close() {
 	s.wg.Wait()
 }
 
-// worker is one long-lived pool member: a telemetry shard and a Replayer
-// whose scratch tables persist across every batch of the session.
+// worker is one long-lived pool member: a span ring, a telemetry shard
+// and a Replayer whose scratch tables persist across every batch of the
+// session.
 func (s *EvalSession) worker(w int) {
 	defer s.wg.Done()
 	shard := s.col.Shard(w)
 	rep := profile.NewReplayer()
-	rep.Shard = shard
-	rep.Spans = s.r.Spans.Ring(w)
+	rep.Spans = s.col.Spans().Ring(w)
 	var debt time.Duration
 	for job := range s.jobs {
 		res := s.evalOne(job.idx, rep, shard, &debt)
@@ -391,23 +393,15 @@ func (s *EvalSession) evalOne(idx int, rep *profile.Replayer, shard *telemetry.S
 		}
 		key := ""
 		if res.Metrics == nil && r.Cache != nil {
-			var probeStart time.Time
-			if rep.Spans != nil {
-				probeStart = time.Now()
-			}
+			probeStart := time.Now()
 			key = CompiledCacheKey(id, s.ct, r.Hierarchy)
 			hit := int64(0)
 			if m, ok := r.Cache.Get(key); ok {
 				res.Metrics = m
 				res.CacheHit = true
 				hit = 1
-				shard.CacheHit()
-			} else {
-				shard.CacheMiss()
 			}
-			if rep.Spans != nil {
-				rep.Spans.Since(span.StageCacheProbe, probeStart, hit)
-			}
+			rep.Spans.Since(span.StageCacheProbe, probeStart, hit)
 		}
 		if res.Metrics == nil && s.incremental {
 			// Partial re-evaluation: configurations sharing a fixed-pool
@@ -426,7 +420,7 @@ func (s *EvalSession) evalOne(idx int, rep *profile.Replayer, shard *telemetry.S
 						res.Incremental = true
 						if built {
 							res.EventsSkipped = uint64(part.SkippedEvents())
-							shard.ObservePartialSim(time.Since(pstart), part.Ops(), part.SkippedEvents())
+							shard.AddSkipped(part.SkippedEvents())
 							rep.Spans.Since(span.StagePartialSim, pstart, int64(part.Ops()))
 							if r.EvalLatency > 0 {
 								// The modelled backend replays only the partition's
@@ -441,7 +435,7 @@ func (s *EvalSession) evalOne(idx int, rep *profile.Replayer, shard *telemetry.S
 							// modelled backend latency — nothing re-ran.
 							res.Composed = true
 							res.EventsSkipped = uint64(part.Events())
-							shard.ObserveCompose(time.Since(pstart), part.Events())
+							shard.AddSkipped(part.Events())
 							rep.Spans.Since(span.StageCompose, pstart, int64(part.Ops()))
 						}
 						if r.Cache != nil {

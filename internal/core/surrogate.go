@@ -123,7 +123,7 @@ type surrogate struct {
 	weights []Weighted
 	opts    SurrogateOptions
 	col     *telemetry.Collector
-	spans   *span.Ring   // coordinator flight-recorder ring (nil-safe)
+	spans   *span.Ring   // the session recorder's coordinator ring
 	b       *evalBatcher // attached batcher, for lineage annotations
 
 	feats   []float64 // trace feature block, constant per run
@@ -170,7 +170,7 @@ func (r *Runner) newSurrogate(sess *EvalSession, weights []Weighted) *surrogate 
 		weights: weights,
 		opts:    opts,
 		col:     sess.col,
-		spans:   r.Spans.Coord(),
+		spans:   sess.col.Spans().Coord(),
 		feats:   feats,
 		axisOff: axisOff,
 		dim:     1 + len(feats) + oneHot,

@@ -1,14 +1,20 @@
 package core
 
 import (
+	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dmexplore/internal/alloc"
 	"dmexplore/internal/memhier"
+	"dmexplore/internal/stats"
 	"dmexplore/internal/telemetry"
+	"dmexplore/internal/telemetry/span"
+	"dmexplore/internal/trace"
 )
 
 // TestRunnerTelemetryAccounting runs a cold sweep, then a fully cached
@@ -162,5 +168,114 @@ func TestRunnerErrorCarriesLabels(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("error never journaled")
+	}
+}
+
+// TestUtilizationCountsStartedWorkers pins utilization to the pool a
+// session actually starts: a 2-configuration run on a 4-shard collector
+// starts two workers, and both are busy for the whole latency-modelled
+// wave.
+func TestUtilizationCountsStartedWorkers(t *testing.T) {
+	ct, err := trace.Compile(tinyTrace(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := telemetry.NewCollector(4)
+	r := &Runner{
+		Hierarchy: memhier.EmbeddedSoC(), Compiled: ct, Workers: 4,
+		Telemetry: col, EvalLatency: 50 * time.Millisecond,
+	}
+	if _, err := r.run(tinySpace(), []int{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if u := col.Snapshot().Utilization; u <= 0.6 {
+		t.Fatalf("utilization %.2f with both started workers busy, want > 0.6", u)
+	}
+}
+
+// TestSnapshotDerivedFromStages pins the one-instrument contract: every
+// simulation, cache and latency figure of the telemetry snapshot is a
+// sum over the span recorder's stage rows. The run is an incremental
+// hill-climb (full, partial and composed evaluations, partition builds)
+// repeated over one results cache (misses, then hits) — untraced at one
+// worker, traced at four.
+func TestSnapshotDerivedFromStages(t *testing.T) {
+	space := EasyportSpace()
+	weights := []Weighted{{Objective: "accesses", Weight: 1}, {Objective: "footprint", Weight: 1}}
+	for _, workers := range []int{1, 4} {
+		col := telemetry.NewCollector(workers)
+		if workers > 1 {
+			col = telemetry.NewCollectorFor(span.NewRecorder(workers, span.DefaultRingCapacity))
+		}
+		cache, err := OpenResultsCache(filepath.Join(t.TempDir(), "cache.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			r := easyportRunner(t, true)
+			r.Workers, r.Telemetry, r.Cache = workers, col, cache
+			if _, err := r.HillClimb(space, weights, 48, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := col.Snapshot()
+		rows := col.Spans().Snapshot()
+		full, partial := rows[span.StageFullSim], rows[span.StagePartialSim]
+		build, probe := rows[span.StagePartitionBuild], rows[span.StageCacheProbe]
+		var events uint64
+		var seconds float64
+		buckets := make([]uint64, stats.NumLog2Buckets)
+		for _, row := range []span.StageSnapshot{full, partial, build} {
+			events += uint64(row.Args)
+			seconds += row.Seconds
+			for b, n := range row.Buckets {
+				buckets[b] += n
+			}
+		}
+		for _, c := range []struct {
+			name      string
+			got, want uint64
+		}{
+			{"sims", s.Sims, full.Count + partial.Count},
+			{"partial_sims", s.PartialSims, partial.Count},
+			{"partition_builds", s.PartitionBuilds, build.Count},
+			{"composed_evals", s.ComposedEvals, rows[span.StageCompose].Count},
+			{"events_replayed", s.Events, events},
+			{"cache_hits", s.CacheHits, uint64(probe.Args)},
+			{"cache_misses", s.CacheMisses, probe.Count - uint64(probe.Args)},
+			{"cache_hits vs cache stats", s.CacheHits, cache.Stats().Hits},
+			{"cache_misses vs cache stats", s.CacheMisses, cache.Stats().Misses},
+		} {
+			if c.got != c.want {
+				t.Errorf("workers=%d: %s = %d, stage rows give %d", workers, c.name, c.got, c.want)
+			}
+		}
+		if math.Abs(s.SimSecTotal-seconds) > 1e-9 {
+			t.Errorf("workers=%d: sim_sec_total %v, stage rows give %v", workers, s.SimSecTotal, seconds)
+		}
+		if !reflect.DeepEqual(s.LatencyBuckets, buckets) {
+			t.Errorf("workers=%d: latency buckets %v, stage rows give %v", workers, s.LatencyBuckets, buckets)
+		}
+		if want := float64(stats.Log2Quantile(buckets, 0.99)) / 1e6; s.SimP99Ms != want {
+			t.Errorf("workers=%d: sim_p99_ms %v, stage rows give %v", workers, s.SimP99Ms, want)
+		}
+		if s.Sims == 0 || s.PartialSims == 0 || s.PartitionBuilds == 0 || s.ComposedEvals == 0 ||
+			s.CacheHits == 0 || s.CacheMisses == 0 {
+			t.Errorf("workers=%d: run did not exercise every stage: %+v", workers, s)
+		}
+	}
+}
+
+// TestSessionRejectsSecondRecorder guards "one recorder per run": a
+// Runner whose Spans is not its Telemetry collector's recorder would
+// split the stage counts across two instruments, so the session refuses.
+func TestSessionRejectsSecondRecorder(t *testing.T) {
+	r := &Runner{
+		Hierarchy: memhier.EmbeddedSoC(), Trace: tinyTrace(t),
+		Telemetry: telemetry.NewCollector(2), Spans: span.NewRecorder(2, 64),
+	}
+	if s, err := r.NewSession(tinySpace()); err == nil {
+		s.Close()
+		t.Fatal("session accepted a recorder other than the collector's")
 	}
 }

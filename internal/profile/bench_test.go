@@ -96,7 +96,7 @@ func BenchmarkReplayVTC(b *testing.B) {
 
 // BenchmarkReplayTelemetry is the instrumented twin of
 // BenchmarkReplayEasyport: the same steady-state replay loop with a
-// telemetry shard attached, as core.Runner workers run it. Comparing
+// collector's span ring attached, as core.Runner workers run it. Comparing
 // its events/sec against the plain benchmark bounds the observation
 // overhead (scripts/benchreplay.go computes the ratio; the budget is
 // <2%). ReportAllocs doubles as the zero-allocation guard.
@@ -120,7 +120,7 @@ func BenchmarkReplayTelemetry(b *testing.B) {
 	} {
 		b.Run(cfg.Label, func(b *testing.B) {
 			rep := NewReplayer()
-			rep.Shard = col.Shard(0)
+			rep.Spans = col.Spans().Ring(0)
 			if _, err := rep.Run(ct, cfg, h, Options{}); err != nil {
 				b.Fatal(err)
 			}

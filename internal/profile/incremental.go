@@ -220,7 +220,7 @@ func (p *Partition) MemBytes() int64 {
 // fast-path cost model only (the equivalent of Run with zero Options).
 func (r *Replayer) Partition(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hierarchy) (*Partition, error) {
 	var start time.Time
-	if r.Shard != nil || r.Spans != nil {
+	if r.Spans != nil {
 		start = time.Now()
 	}
 	genLayer, ok := h.ByName(cfg.General.Layer)
@@ -310,9 +310,6 @@ func (r *Replayer) Partition(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hi
 	p.allocs = rec.allocs
 	p.fMax = rec.fMax[:len(rec.ops)+1]
 	p.opsHash = hashOps(rec.ops)
-	if r.Shard != nil {
-		r.Shard.ObservePartitionBuild(time.Since(start), ct.Len())
-	}
 	r.Spans.Since(span.StagePartitionBuild, start, int64(ct.Len()))
 	return p, nil
 }
@@ -536,7 +533,7 @@ func (r *Replayer) Compose(ct *trace.Compiled, part *Partition, run *PoolRun, cf
 // back to a full replay.
 func (r *Replayer) RunPartial(ct *trace.Compiled, part *Partition, cfg alloc.Config, h *memhier.Hierarchy) (*Metrics, bool) {
 	var start time.Time
-	if r.Shard != nil || r.Spans != nil {
+	if r.Spans != nil {
 		start = time.Now()
 	}
 	run, ok := r.PoolReplay(part, cfg, h)
@@ -546,9 +543,6 @@ func (r *Replayer) RunPartial(ct *trace.Compiled, part *Partition, cfg alloc.Con
 	m, ok := r.Compose(ct, part, run, cfg, h)
 	if !ok {
 		return nil, false
-	}
-	if r.Shard != nil {
-		r.Shard.ObservePartialSim(time.Since(start), len(part.ops), part.SkippedEvents())
 	}
 	r.Spans.Since(span.StagePartialSim, start, int64(len(part.ops)))
 	return m, true

@@ -8,7 +8,6 @@ import (
 	"dmexplore/internal/alloc"
 	"dmexplore/internal/memhier"
 	"dmexplore/internal/simheap"
-	"dmexplore/internal/telemetry"
 	"dmexplore/internal/telemetry/span"
 	"dmexplore/internal/trace"
 )
@@ -19,17 +18,11 @@ import (
 // loop performs no Go heap allocations per event. A Replayer is not safe
 // for concurrent use; explorations run one per worker.
 type Replayer struct {
-	// Shard, when non-nil, receives per-run telemetry: simulation wall
-	// time and events replayed. Recording is a few uncontended atomic
-	// adds outside the replay loop, so the zero-alloc guarantee holds
-	// with telemetry enabled.
-	Shard *telemetry.Shard
-
-	// Spans, when non-nil, is this worker's flight-recorder ring: every
-	// full run, partial run and partition build lands one typed span.
-	// Recording shares the Shard's timing reads and is itself
-	// allocation-free, so the zero-alloc guarantee holds with the
-	// recorder attached too.
+	// Spans, when non-nil, is this worker's instrument: every full run,
+	// partial run and partition build lands one typed span carrying its
+	// wall time and the events it replayed. Recording is a few
+	// uncontended atomic adds outside the replay loop, so the zero-alloc
+	// guarantee holds with the ring attached.
 	Spans *span.Ring
 
 	ptrs []alloc.Ptr // dense ID -> payload pointer
@@ -108,7 +101,7 @@ func applyOptions(ctx *simheap.Context, h *memhier.Hierarchy, opts Options) (*lo
 // reset, not reallocated, between runs.
 func (r *Replayer) Run(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hierarchy, opts Options) (*Metrics, error) {
 	var start time.Time
-	if r.Shard != nil || r.Spans != nil {
+	if r.Spans != nil {
 		start = time.Now()
 	}
 	ctx := simheap.NewContext(h)
@@ -153,9 +146,6 @@ func (r *Replayer) Run(ct *trace.Compiled, cfg alloc.Config, h *memhier.Hierarch
 	m.EnergyNJ = ctx.Energy()
 	m.Cycles = ctx.Cycles()
 	m.PeakRequestedBytes = ct.PeakRequestedBytes
-	if r.Shard != nil {
-		r.Shard.ObserveSim(time.Since(start), ct.Len())
-	}
 	r.Spans.Since(span.StageFullSim, start, int64(ct.Len()))
 	return m, nil
 }

@@ -312,9 +312,10 @@ func TestReplaySteadyStateZeroAllocs(t *testing.T) {
 }
 
 // TestReplayTelemetryZeroAllocs extends the hot-path guard to the
-// instrumented path: a Replayer with a telemetry shard attached — the
-// exact shape core.Runner workers use — must still replay a warm
-// compiled trace with zero heap allocations, ObserveSim included.
+// instrumented path: a Replayer with a collector's aggregates-only ring
+// attached — the exact shape untraced core.Runner workers use — must
+// still replay a warm compiled trace with zero heap allocations, the
+// full-sim record included.
 func TestReplayTelemetryZeroAllocs(t *testing.T) {
 	p := workload.DefaultEasyportParams()
 	p.Packets = 200
@@ -335,7 +336,7 @@ func TestReplayTelemetryZeroAllocs(t *testing.T) {
 			t.Fatalf("%s: %v", cfg.Label, err)
 		}
 		r := NewReplayer()
-		r.Shard = col.Shard(0)
+		r.Spans = col.Spans().Ring(0)
 		r.reset(ct.NumIDs)
 		var warm Metrics
 		if err := r.replay(ct, a, ctx, &warm, 0, nil); err != nil {
@@ -348,7 +349,7 @@ func TestReplayTelemetryZeroAllocs(t *testing.T) {
 			if err := r.replay(ct, a, ctx, &m, 0, nil); err != nil {
 				t.Errorf("%s: replay: %v", cfg.Label, err)
 			}
-			r.Shard.ObserveSim(time.Since(start), ct.Len())
+			r.Spans.Since(span.StageFullSim, start, int64(ct.Len()))
 		})
 		if avg != 0 {
 			t.Errorf("%s: instrumented replay allocates %.1f times per run, want 0", cfg.Label, avg)
@@ -360,10 +361,10 @@ func TestReplayTelemetryZeroAllocs(t *testing.T) {
 }
 
 // TestReplaySpansZeroAllocs proves the flight recorder preserves the
-// replay hot path's zero-allocation guarantee: a full Run with both a
-// telemetry shard and a span ring attached performs no heap allocations
-// in steady state beyond the Metrics result itself — so the per-event
-// loop and the span Record stay allocation-free.
+// replay hot path's zero-allocation guarantee: a full Run with a
+// raw-span ring attached performs no heap allocations in steady state
+// beyond the Metrics result itself — so the per-event loop and the
+// span Record stay allocation-free.
 func TestReplaySpansZeroAllocs(t *testing.T) {
 	p := workload.DefaultEasyportParams()
 	p.Packets = 200
@@ -376,7 +377,6 @@ func TestReplaySpansZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := memhier.EmbeddedSoC()
-	col := telemetry.NewCollector(1)
 	rec := span.NewRecorder(1, 1024)
 	for _, cfg := range presetConfigs() {
 		ctx := simheap.NewContext(h)
@@ -385,7 +385,6 @@ func TestReplaySpansZeroAllocs(t *testing.T) {
 			t.Fatalf("%s: %v", cfg.Label, err)
 		}
 		r := NewReplayer()
-		r.Shard = col.Shard(0)
 		r.Spans = rec.Ring(0)
 		r.reset(ct.NumIDs)
 		var warm Metrics
@@ -399,7 +398,6 @@ func TestReplaySpansZeroAllocs(t *testing.T) {
 			if err := r.replay(ct, a, ctx, &m, 0, nil); err != nil {
 				t.Errorf("%s: replay: %v", cfg.Label, err)
 			}
-			r.Shard.ObserveSim(time.Since(start), ct.Len())
 			r.Spans.Since(span.StageFullSim, start, int64(ct.Len()))
 		})
 		if avg != 0 {

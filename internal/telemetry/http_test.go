@@ -13,10 +13,10 @@ import (
 
 func TestServeExpvarAndPprof(t *testing.T) {
 	col := NewCollector(2)
-	col.Shard(0).ObserveSim(time.Millisecond, 500)
-	col.Shard(1).CacheHit()
+	col.Spans().Ring(0).Record(span.StageFullSim, 0, time.Millisecond, 500)
+	col.Spans().Ring(1).Record(span.StageCacheProbe, 0, time.Microsecond, 1)
 
-	srv, err := Serve("127.0.0.1:0", col, nil)
+	srv, err := Serve("127.0.0.1:0", col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestServeExpvarAndPprof(t *testing.T) {
 	// A second Serve (fresh collector) must re-point the published var,
 	// not panic on duplicate expvar registration.
 	col2 := NewCollector(1)
-	srv2, err := Serve("127.0.0.1:0", col2, nil)
+	srv2, err := Serve("127.0.0.1:0", col2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +85,12 @@ func TestServeExpvarAndPprof(t *testing.T) {
 }
 
 func TestServeMetricsAndHealthz(t *testing.T) {
-	col := NewCollector(2)
-	col.Shard(0).ObserveSim(time.Millisecond, 500)
-	col.Shard(1).CacheHit()
 	rec := span.NewRecorder(2, 64)
+	col := NewCollectorFor(rec)
 	rec.Ring(0).Record(span.StageFullSim, 0, time.Millisecond, 500)
+	rec.Ring(1).Record(span.StageCacheProbe, 0, time.Microsecond, 1)
 
-	srv, err := Serve("127.0.0.1:0", col, rec)
+	srv, err := Serve("127.0.0.1:0", col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +135,7 @@ func TestServeMetricsAndHealthz(t *testing.T) {
 // completes, and the port is free for rebinding once Close returns.
 func TestCloseDrainsInFlightScrapeAndReleasesPort(t *testing.T) {
 	col := NewCollector(1)
-	srv, err := Serve("127.0.0.1:0", col, nil)
+	srv, err := Serve("127.0.0.1:0", col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +193,7 @@ func TestCloseDrainsInFlightScrapeAndReleasesPort(t *testing.T) {
 	}
 
 	// The exact port must be rebindable immediately.
-	srv2, err := Serve(srv.Addr, col, nil)
+	srv2, err := Serve(srv.Addr, col)
 	if err != nil {
 		t.Fatalf("port not released: %v", err)
 	}

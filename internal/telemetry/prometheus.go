@@ -40,8 +40,7 @@ import (
 //	dmexplore_sim_latency_quantile_seconds  SimP50Ms, SimP90Ms, SimP99Ms
 //	dmexplore_sim_latency_seconds           LatencyBuckets (histogram)
 //
-// plus, when a flight recorder is attached, one histogram per pipeline
-// stage:
+// plus one histogram per pipeline stage from the span recorder:
 //
 //	dmexplore_stage_duration_seconds{stage=...}  span aggregates
 

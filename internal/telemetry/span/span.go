@@ -1,20 +1,21 @@
-// Package span is the exploration pipeline's flight recorder: typed,
-// timestamped spans for every pipeline stage (trace/log ingest, v2 block
-// decode, compile, partition build, batch waves, surrogate screening,
-// partial and full simulations, cache probes, journal flushes), recorded
-// into fixed-capacity per-worker ring buffers with zero steady-state
-// allocation, and exportable as Chrome trace-event JSON for Perfetto.
+// Package span is the exploration pipeline's one instrument: typed,
+// timestamped spans for every pipeline stage (trace ingest, compile,
+// partition build, batch waves, surrogate screening, partial and full
+// simulations, compositions, cache probes), aggregated per worker ring
+// with zero steady-state allocation and, when the recorder keeps raw
+// spans, exportable as Chrome trace-event JSON for Perfetto.
 //
-// Recording is built for the replay hot path, mirroring the telemetry
-// shards: a worker owns one Ring, a span record is an atomic slot claim
-// plus a handful of uncontended atomic adds into padded pre-sized arrays
-// — no locks, no maps, no allocation — so the AllocsPerRun guard on the
-// steady-state replay loop keeps reporting zero with the recorder
-// attached. Aggregate readers (the Prometheus handler, the run-summary
-// stage table) merge the per-stage atomics at any time; the raw ring
-// entries are read only after the workers have quiesced (end of run or
-// signal-driven finalize), so the trace export never races a recording
-// worker over span contents.
+// Recording is built for the replay hot path: a worker owns one Ring,
+// and a span record is a handful of uncontended atomic adds into padded
+// pre-sized per-stage aggregates (duration histogram, nanoseconds, arg
+// sum) — no locks, no maps, no allocation — so the AllocsPerRun guard
+// on the steady-state replay loop keeps reporting zero. A recorder built
+// with a raw span capacity additionally claims one buffer slot per span.
+// Aggregate readers (telemetry.Collector.Snapshot, the Prometheus
+// handler, the run-summary stage table) merge the per-stage atomics at
+// any time; the raw ring entries are read only after the workers have
+// quiesced (end of run or signal-driven finalize), so the trace export
+// never races a recording worker over span contents.
 package span
 
 import (
@@ -31,26 +32,21 @@ import (
 type Stage uint8
 
 const (
-	StageLogIngest       Stage = iota // parsing a profile log into summaries
-	StageTraceIngest                  // reading or generating a workload trace
-	StageBlockDecode                  // decoding block-framed v2 payloads
+	StageTraceIngest     Stage = iota // reading or generating a workload trace
 	StageCompile                      // compiling a trace into columnar slabs
 	StagePartitionBuild               // invariant-partition replay (incremental path)
 	StageBatchWave                    // one evaluation wave across the worker pool
 	StageSurrogateScreen              // surrogate ranking/screening of a candidate set
 	StagePartialSim                   // partial (incremental) simulation of one config
 	StageFullSim                      // full replay simulation of one config
-	StageCacheProbe                   // results-cache lookup for one config
-	StageJournalFlush                 // flushing the JSONL journal to disk
+	StageCacheProbe                   // results-cache lookup for one config (arg 1 on a hit)
 	StageCompose                      // memoized pool-run composition of one config (no sim)
 
 	NumStages int = iota
 )
 
 var stageNames = [NumStages]string{
-	StageLogIngest:       "log-ingest",
 	StageTraceIngest:     "trace-ingest",
-	StageBlockDecode:     "block-decode",
 	StageCompile:         "compile",
 	StagePartitionBuild:  "partition-build",
 	StageBatchWave:       "batch-wave",
@@ -58,7 +54,6 @@ var stageNames = [NumStages]string{
 	StagePartialSim:      "partial-sim",
 	StageFullSim:         "full-sim",
 	StageCacheProbe:      "cache-probe",
-	StageJournalFlush:    "journal-flush",
 	StageCompose:         "compose",
 }
 
@@ -82,7 +77,7 @@ func Stages() []Stage {
 
 // Span is one recorded interval. Start is nanoseconds since the
 // recorder's epoch; Arg is a stage-specific payload (events replayed,
-// candidates scored, bytes decoded, records flushed).
+// candidates scored, 1 for a cache hit).
 type Span struct {
 	Stage Stage
 	Start int64 // ns since Recorder epoch
@@ -90,41 +85,48 @@ type Span struct {
 	Arg   int64
 }
 
-// stageAgg is one stage's merged accounting within a ring: span count,
-// total nanoseconds, and a log2 duration histogram. All atomics, so the
-// Prometheus handler can scrape mid-run without perturbing the worker.
+// stageAgg is one stage's merged accounting within a ring: a log2
+// duration histogram (whose mass is the span count), total nanoseconds
+// and the sum of span args. All atomics, so snapshots can merge mid-run
+// without perturbing the worker.
 type stageAgg struct {
-	count atomic.Uint64
-	nanos atomic.Int64
 	hist  [stats.NumLog2Buckets]atomic.Uint64
+	nanos atomic.Int64
+	args  atomic.Int64
 }
 
-// Ring is one worker's span buffer: a fixed-capacity circular buffer of
-// raw spans plus per-stage aggregates. Slots are claimed with an atomic
-// counter, so occasional multi-goroutine writers (the coordinator ring)
-// stay safe; the raw entries are read only after writers quiesce. The
-// struct is padded to keep adjacent rings out of each other's cache
-// lines.
+// Ring is one worker's instrument: per-stage aggregates plus, when the
+// recorder keeps raw spans, a fixed-capacity circular buffer of them.
+// Slots are claimed with an atomic counter, so occasional
+// multi-goroutine writers (the coordinator ring) stay safe; the raw
+// entries are read only after writers quiesce. The struct is padded to
+// keep adjacent rings out of each other's cache lines.
 type Ring struct {
 	epoch  time.Time
-	spans  []Span
-	n      atomic.Uint64 // total spans recorded (wraps over the buffer)
+	spans  []Span        // raw span buffer; empty for aggregates-only rings
+	n      atomic.Uint64 // total spans buffered (wraps over the buffer)
 	stages [NumStages]stageAgg
 
 	_ [64]byte
 }
 
-// Record appends one span with an explicit start offset and duration.
-// Nil-safe: a nil ring records nothing, so call sites need no guard.
+// Record accounts one span with an explicit start offset and duration,
+// and buffers it when the ring keeps raw spans. Nil-safe: a nil ring
+// records nothing, so call sites need no guard.
 func (r *Ring) Record(st Stage, start, dur time.Duration, arg int64) {
 	if r == nil {
 		return
 	}
 	ns := dur.Nanoseconds()
 	agg := &r.stages[st]
-	agg.count.Add(1)
-	agg.nanos.Add(ns)
 	agg.hist[stats.Log2Bucket(ns)].Add(1)
+	agg.nanos.Add(ns)
+	if arg != 0 {
+		agg.args.Add(arg)
+	}
+	if len(r.spans) == 0 {
+		return
+	}
 	i := r.n.Add(1) - 1
 	r.spans[i%uint64(len(r.spans))] = Span{
 		Stage: st,
@@ -149,8 +151,8 @@ func (r *Ring) Since(st Stage, start time.Time, arg int64) {
 	r.Record(st, start.Sub(r.epoch), time.Since(start), arg)
 }
 
-// Len returns how many spans the ring has recorded (including ones the
-// buffer has since overwritten).
+// Len returns how many spans the ring has buffered (including ones the
+// buffer has since overwritten); 0 for an aggregates-only ring.
 func (r *Ring) Len() uint64 {
 	if r == nil {
 		return 0
@@ -160,32 +162,33 @@ func (r *Ring) Len() uint64 {
 
 // Recorder owns the rings of one run: one per worker plus a coordinator
 // ring for the stages driven by the strategy goroutine (batch waves,
-// surrogate screening, ingest, compile, journal flushes).
+// surrogate screening, ingest, compile).
 type Recorder struct {
 	epoch time.Time
 	rings []Ring
 }
 
-// DefaultRingCapacity is the per-ring span capacity when NewRecorder is
-// given none: large enough that a multi-thousand-configuration sweep
-// keeps every span, small enough (~40 B/span) to stay off any budget.
+// DefaultRingCapacity is the per-ring raw span capacity of a traced
+// run: large enough that a multi-thousand-configuration sweep keeps
+// every span, small enough (~40 B/span) to stay off any budget.
 const DefaultRingCapacity = 1 << 14
 
 // NewRecorder returns a recorder with one ring per worker plus the
-// coordinator ring, all sharing one epoch. workers <= 0 allocates a
-// single worker ring; capacity <= 0 uses DefaultRingCapacity.
+// coordinator ring, all sharing one epoch, each buffering up to capacity
+// raw spans. workers <= 0 allocates a single worker ring; capacity <= 0
+// keeps the per-stage aggregates only (no raw buffer, nothing to
+// export) — the recorder every untraced run holds.
 func NewRecorder(workers, capacity int) *Recorder {
 	if workers <= 0 {
 		workers = 1
-	}
-	if capacity <= 0 {
-		capacity = DefaultRingCapacity
 	}
 	epoch := time.Now()
 	rings := make([]Ring, workers+1)
 	for i := range rings {
 		rings[i].epoch = epoch
-		rings[i].spans = make([]Span, capacity)
+		if capacity > 0 {
+			rings[i].spans = make([]Span, capacity)
+		}
 	}
 	return &Recorder{epoch: epoch, rings: rings}
 }
@@ -204,7 +207,7 @@ func (r *Recorder) Ring(i int) *Ring {
 }
 
 // Coord returns the coordinator ring (ingest, compile, batch waves,
-// surrogate screening, journal flushes). Nil-safe.
+// surrogate screening). Nil-safe.
 func (r *Recorder) Coord() *Ring {
 	if r == nil {
 		return nil
@@ -230,18 +233,20 @@ func (r *Recorder) Epoch() time.Time {
 }
 
 // StageSnapshot is one stage's merged accounting across every ring — the
-// run-summary breakdown row and the Prometheus histogram source.
+// run-summary breakdown row, the Prometheus histogram source and what
+// telemetry.Snapshot is derived from.
 type StageSnapshot struct {
 	Stage   Stage    `json:"-"`
 	Name    string   `json:"stage"`
 	Count   uint64   `json:"count"`
 	Seconds float64  `json:"seconds"`
+	Args    int64    `json:"-"` // sum of span args (events replayed, cache hits, ...)
 	Buckets []uint64 `json:"-"` // merged log2 duration histogram (ns buckets)
 }
 
-// Snapshot merges every ring into one row per stage, in stage order. All
-// stages are present (count 0 when never recorded) so metric names stay
-// stable across runs.
+// Snapshot merges every ring into one row per stage, in stage order, so
+// out[st] is stage st's row. All stages are present (count 0 when never
+// recorded) so metric names stay stable across runs.
 func (r *Recorder) Snapshot() []StageSnapshot {
 	if r == nil {
 		return nil
@@ -255,10 +260,12 @@ func (r *Recorder) Snapshot() []StageSnapshot {
 		var nanos int64
 		for i := range r.rings {
 			agg := &r.rings[i].stages[st]
-			row.Count += agg.count.Load()
+			row.Args += agg.args.Load()
 			nanos += agg.nanos.Load()
 			for b := range agg.hist {
-				row.Buckets[b] += agg.hist[b].Load()
+				c := agg.hist[b].Load()
+				row.Buckets[b] += c
+				row.Count += c
 			}
 		}
 		row.Seconds = float64(nanos) / 1e9

@@ -137,9 +137,8 @@ func TestRecordZeroAlloc(t *testing.T) {
 
 func TestStageNamesStable(t *testing.T) {
 	want := []string{
-		"log-ingest", "trace-ingest", "block-decode", "compile",
-		"partition-build", "batch-wave", "surrogate-screen",
-		"partial-sim", "full-sim", "cache-probe", "journal-flush",
+		"trace-ingest", "compile", "partition-build", "batch-wave",
+		"surrogate-screen", "partial-sim", "full-sim", "cache-probe",
 		"compose",
 	}
 	stages := Stages()
@@ -153,5 +152,38 @@ func TestStageNamesStable(t *testing.T) {
 	}
 	if Stage(200).String() != "unknown" {
 		t.Fatal("out-of-range stage not unknown")
+	}
+}
+
+// TestAggregatesOnlyRecorder covers the recorder every untraced run
+// holds: capacity 0 keeps per-stage counts, time and arg sums, buffers
+// nothing and exports an empty trace.
+func TestAggregatesOnlyRecorder(t *testing.T) {
+	r := NewRecorder(2, 0)
+	r.Ring(0).Record(StageCacheProbe, 0, time.Microsecond, 1)
+	r.Ring(1).Record(StageCacheProbe, 0, time.Microsecond, 0)
+	r.Ring(1).Record(StageFullSim, 0, 2*time.Millisecond, 700)
+	snap := r.Snapshot()
+	if row := snap[StageCacheProbe]; row.Count != 2 || row.Args != 1 {
+		t.Fatalf("cache-probe row: %+v", row)
+	}
+	if row := snap[StageFullSim]; row.Count != 1 || row.Args != 700 || row.Seconds != 2e-3 {
+		t.Fatalf("full-sim row: %+v", row)
+	}
+	if r.Ring(0).Len() != 0 || r.Ring(1).Len() != 0 || r.Dropped() != 0 {
+		t.Fatal("aggregates-only recorder buffered spans")
+	}
+	var buf bytes.Buffer
+	if err := r.WriteTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	events, _, err := ReadTrace(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events {
+		if ev.Phase == "X" {
+			t.Fatalf("aggregates-only trace has span %+v", ev)
+		}
 	}
 }

@@ -74,8 +74,8 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 			Args:  map[string]any{"name": name},
 		})
 		spans := r.ringSpans(tid)
-		// Sort by start so nested stages (a batch wave enclosing its sims,
-		// an ingest enclosing its block decode) render as stacks.
+		// Sort by start so nested stages (a batch wave enclosing its
+		// sims) render as stacks.
 		sort.SliceStable(spans, func(a, b int) bool { return spans[a].Start < spans[b].Start })
 		for _, sp := range spans {
 			doc.TraceEvents = append(doc.TraceEvents, traceEvent{

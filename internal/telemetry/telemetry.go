@@ -1,15 +1,17 @@
-// Package telemetry instruments the exploration engine: per-worker
-// sharded counters and latency histograms merged on snapshot, an
-// append-only JSONL run journal, a throttled terminal progress reporter
-// with ETA, and an optional expvar/pprof HTTP endpoint for long sweeps.
+// Package telemetry instruments the exploration engine: a run snapshot
+// derived from the span recorder's per-stage aggregates plus per-worker
+// counters for what no stage times, an append-only JSONL run journal, a
+// throttled terminal progress reporter with ETA, and an optional
+// expvar/pprof/Prometheus HTTP endpoint for long sweeps.
 //
-// The recording side is built for the replay hot path: a worker owns one
-// Shard, every record is a handful of uncontended atomic adds into
-// padded, pre-sized arrays — no locks, no maps, no allocation — so the
-// AllocsPerRun guard on the steady-state replay loop keeps reporting
-// zero even with telemetry enabled. Readers (the progress line, expvar,
-// the final run summary) merge all shards into a Snapshot at whatever
-// rate they like without perturbing the workers.
+// Every timed stage — simulations, partition builds, compositions,
+// cache probes — is counted and put into a histogram in exactly one
+// place: the worker's span.Ring. The Collector keeps plain atomic
+// counters only for facts no stage records (memo hits, errors, busy
+// time, events skipped, and the coordinator-written stale-cache and
+// surrogate counters). Readers (the progress line, expvar, /metrics,
+// the final run summary) merge the rings and shards into a Snapshot at
+// whatever rate they like without perturbing the workers.
 package telemetry
 
 import (
@@ -19,88 +21,29 @@ import (
 	"time"
 
 	"dmexplore/internal/stats"
+	"dmexplore/internal/telemetry/span"
 )
 
-// Shard accumulates one worker's telemetry. All fields are atomics so
-// concurrent snapshots are race-free, but each shard is written by a
-// single worker, so the adds never contend. The struct is padded to keep
-// adjacent shards out of each other's cache lines.
+// Shard accumulates the counters of one worker that no span stage
+// records. All fields are atomics so concurrent snapshots are race-free,
+// but each shard is written by a single worker, so the adds never
+// contend. The struct is padded to keep adjacent shards out of each
+// other's cache lines.
 type Shard struct {
-	sims     atomic.Uint64 // simulations actually executed
-	simNanos atomic.Int64  // total wall time inside those simulations
-	events   atomic.Uint64 // trace events replayed by those simulations
-
-	partialSims     atomic.Uint64 // sims served by the incremental partial path
-	eventsSkipped   atomic.Uint64 // trace events partial sims avoided replaying
-	partitionBuilds atomic.Uint64 // invariant-partition replays (one per signature)
-	composedEvals   atomic.Uint64 // evaluations composed from the pool-run memo (no sim)
-
-	cacheHits   atomic.Uint64 // configurations served from the results cache
-	cacheMisses atomic.Uint64 // cache consulted, configuration not present
-	memoHits    atomic.Uint64 // served from the in-run duplicate memo
+	eventsSkipped atomic.Uint64 // trace events partial and composed evaluations avoided replaying
+	memoHits      atomic.Uint64 // served from the in-run duplicate memo
 
 	errConfig atomic.Uint64 // errors materializing a configuration
 	errSim    atomic.Uint64 // errors building or replaying a configuration
 
 	busyNanos atomic.Int64 // wall time spent working on configurations
 
-	latency [stats.NumLog2Buckets]atomic.Uint64 // simulation latency, ns, log2 buckets
-
 	_ [64]byte // keep the next shard off this one's cache lines
 }
 
-// ObserveSim records one executed simulation: its wall time and the
-// number of trace events it replayed.
-func (s *Shard) ObserveSim(d time.Duration, events int) {
-	ns := d.Nanoseconds()
-	s.sims.Add(1)
-	s.simNanos.Add(ns)
-	s.events.Add(uint64(events))
-	s.latency[stats.Log2Bucket(ns)].Add(1)
-}
-
-// ObservePartialSim records one simulation served by the incremental
-// partial-replay path: its wall time, the fallback ops it replayed and
-// the trace events it skipped relative to a full replay. Partial sims
-// count toward Sims (they complete a configuration) and are broken out
-// in PartialSims.
-func (s *Shard) ObservePartialSim(d time.Duration, replayed, skipped int) {
-	ns := d.Nanoseconds()
-	s.sims.Add(1)
-	s.partialSims.Add(1)
-	s.simNanos.Add(ns)
-	s.events.Add(uint64(replayed))
-	s.eventsSkipped.Add(uint64(skipped))
-	s.latency[stats.Log2Bucket(ns)].Add(1)
-}
-
-// ObservePartitionBuild records one invariant-partition replay (the
-// once-per-signature full-trace pass the incremental path amortizes).
-// It is not a configuration completion, so it does not count as a sim,
-// but its wall time and events feed the throughput accounting.
-func (s *Shard) ObservePartitionBuild(d time.Duration, events int) {
-	ns := d.Nanoseconds()
-	s.partitionBuilds.Add(1)
-	s.simNanos.Add(ns)
-	s.events.Add(uint64(events))
-	s.latency[stats.Log2Bucket(ns)].Add(1)
-}
-
-// ObserveCompose records one evaluation served by composing a memoized
-// standalone general-pool run with its partition — a pool-run memo hit.
-// No simulation executed, so it does not count as a sim; skipped is the
-// full trace event count the composition avoided replaying.
-func (s *Shard) ObserveCompose(d time.Duration, skipped int) {
-	_ = d // composition is sub-histogram-resolution; busy time captures it
-	s.composedEvals.Add(1)
-	s.eventsSkipped.Add(uint64(skipped))
-}
-
-// CacheHit records a configuration served from the results cache.
-func (s *Shard) CacheHit() { s.cacheHits.Add(1) }
-
-// CacheMiss records a results-cache lookup that found nothing.
-func (s *Shard) CacheMiss() { s.cacheMisses.Add(1) }
+// AddSkipped records trace events an incremental evaluation avoided
+// replaying relative to a full replay.
+func (s *Shard) AddSkipped(events int) { s.eventsSkipped.Add(uint64(events)) }
 
 // MemoHit records a configuration served from the in-run duplicate memo.
 func (s *Shard) MemoHit() { s.memoHits.Add(1) }
@@ -115,11 +58,14 @@ func (s *Shard) SimError() { s.errSim.Add(1) }
 // (simulated or cache-served); utilization = busy / (workers × elapsed).
 func (s *Shard) AddBusy(d time.Duration) { s.busyNanos.Add(d.Nanoseconds()) }
 
-// Collector owns the shards of one run. Hand each worker its own shard;
-// snapshot from anywhere.
+// Collector owns the instruments of one run: its span recorder and one
+// shard per worker. Hand each worker its own ring and shard; snapshot
+// from anywhere.
 type Collector struct {
 	start      time.Time
+	spans      *span.Recorder
 	shards     []Shard
+	started    atomic.Int64  // largest worker pool a session started on this collector
 	cacheStale atomic.Uint64 // stale results-cache entries, set by the cache owner
 
 	// Surrogate-screening counters. These are written by the search
@@ -130,14 +76,23 @@ type Collector struct {
 	surrogateTrained     atomic.Uint64 // exact results absorbed into the surrogate
 }
 
-// NewCollector returns a collector with one shard per worker and the
-// run's wall clock started. workers <= 0 allocates a single shard.
+// NewCollector returns a collector over an aggregates-only recorder with
+// one ring and one shard per worker, and the run's wall clock started.
+// workers <= 0 allocates a single worker.
 func NewCollector(workers int) *Collector {
-	if workers <= 0 {
-		workers = 1
-	}
-	return &Collector{start: time.Now(), shards: make([]Shard, workers)}
+	return NewCollectorFor(span.NewRecorder(workers, 0))
 }
+
+// NewCollectorFor returns a collector whose timed-stage counts derive
+// from rec (which must be non-nil), with one shard per recorder worker
+// ring — the form a traced run uses, so its one recorder both buffers
+// raw spans and feeds the snapshot.
+func NewCollectorFor(rec *span.Recorder) *Collector {
+	return &Collector{start: time.Now(), spans: rec, shards: make([]Shard, rec.Workers())}
+}
+
+// Spans returns the run's span recorder.
+func (c *Collector) Spans() *span.Recorder { return c.spans }
 
 // Shard returns worker i's shard (wrapping when more workers than shards
 // show up, which degrades to sharing, never to a crash).
@@ -150,6 +105,19 @@ func (c *Collector) Shard(i int) *Shard {
 
 // Workers returns the shard count.
 func (c *Collector) Workers() int { return len(c.shards) }
+
+// StartWorkers records that a session started a pool of n workers.
+// Utilization divides busy time by the largest such pool (the shard
+// count when no session reported), so a run that starts fewer workers
+// than the collector has shards is not reported as partly idle.
+func (c *Collector) StartWorkers(n int) {
+	for {
+		cur := c.started.Load()
+		if int64(n) <= cur || c.started.CompareAndSwap(cur, int64(n)) {
+			return
+		}
+	}
+}
 
 // AddCacheStale records stale results-cache entries (version-mismatched
 // at load, or superseded by a recomputed result).
@@ -168,8 +136,8 @@ func (c *Collector) AddSurrogateScreened(n uint64) { c.surrogateScreened.Add(n) 
 // models (online updates plus warm-start replay).
 func (c *Collector) AddSurrogateTrained(n uint64) { c.surrogateTrained.Add(n) }
 
-// Snapshot is a merged, self-consistent-enough view of all shards at one
-// instant (counters are read individually; a snapshot taken mid-run can
+// Snapshot is a merged, self-consistent-enough view of the stage
+// aggregates and shards at one instant (counters are read individually; a snapshot taken mid-run can
 // be off by the records in flight, which is fine for progress and
 // expvar, and exact once the run has completed).
 type Snapshot struct {
@@ -212,7 +180,7 @@ type Snapshot struct {
 	Utilization float64 `json:"worker_utilization"`
 
 	// Simulation latency quantiles (upper bounds, exact to within one
-	// power of two) merged from the per-shard histograms.
+	// power of two) merged from the simulation stages' histograms.
 	SimP50Ms float64 `json:"sim_p50_ms"`
 	SimP90Ms float64 `json:"sim_p90_ms"`
 	SimP99Ms float64 `json:"sim_p99_ms"`
@@ -222,43 +190,58 @@ type Snapshot struct {
 	LatencyBuckets []uint64 `json:"latency_buckets,omitempty"`
 }
 
-// Snapshot merges every shard.
+// simStages are the stages that replay trace events: their merged
+// nanoseconds, args (events replayed) and histograms are the snapshot's
+// simulation time, events and latency distribution.
+var simStages = [...]span.Stage{span.StageFullSim, span.StagePartialSim, span.StagePartitionBuild}
+
+// Snapshot merges the recorder's stage aggregates and every shard.
 func (c *Collector) Snapshot() Snapshot {
+	stages := c.spans.Snapshot()
+	probe := stages[span.StageCacheProbe]
 	s := Snapshot{
 		Workers:    len(c.shards),
 		CacheStale: c.cacheStale.Load(),
+
+		Sims:            stages[span.StageFullSim].Count + stages[span.StagePartialSim].Count,
+		PartialSims:     stages[span.StagePartialSim].Count,
+		PartitionBuilds: stages[span.StagePartitionBuild].Count,
+		ComposedEvals:   stages[span.StageCompose].Count,
+		// A cache-probe span's arg is 1 on a hit. A snapshot racing a
+		// probe may see its arg before its count; clamp, never wrap.
+		CacheHits:   uint64(probe.Args),
+		CacheMisses: probe.Count - min(probe.Count, uint64(probe.Args)),
 
 		SurrogatePredictions: c.surrogatePredictions.Load(),
 		SurrogateScreened:    c.surrogateScreened.Load(),
 		SurrogateTrained:     c.surrogateTrained.Load(),
 	}
-	elapsed := time.Since(c.start)
-	s.ElapsedSec = elapsed.Seconds()
-	var simNanos, busyNanos int64
 	buckets := make([]uint64, stats.NumLog2Buckets)
+	for _, st := range simStages {
+		row := &stages[st]
+		s.SimSecTotal += row.Seconds
+		s.Events += uint64(row.Args)
+		for b, n := range row.Buckets {
+			buckets[b] += n
+		}
+	}
+	var busyNanos int64
 	for i := range c.shards {
 		sh := &c.shards[i]
-		s.Sims += sh.sims.Load()
-		simNanos += sh.simNanos.Load()
-		s.Events += sh.events.Load()
-		s.PartialSims += sh.partialSims.Load()
 		s.EventsSkipped += sh.eventsSkipped.Load()
-		s.PartitionBuilds += sh.partitionBuilds.Load()
-		s.ComposedEvals += sh.composedEvals.Load()
-		s.CacheHits += sh.cacheHits.Load()
-		s.CacheMisses += sh.cacheMisses.Load()
 		s.MemoHits += sh.memoHits.Load()
 		s.ErrorsConfig += sh.errConfig.Load()
 		s.ErrorsSim += sh.errSim.Load()
 		busyNanos += sh.busyNanos.Load()
-		for b := range sh.latency {
-			buckets[b] += sh.latency[b].Load()
-		}
 	}
-	s.SimSecTotal = float64(simNanos) / 1e9
+	s.ElapsedSec = time.Since(c.start).Seconds()
 	if s.ElapsedSec > 0 {
+		pool := c.started.Load()
+		if pool == 0 {
+			pool = int64(len(c.shards))
+		}
 		s.EventsPerSec = float64(s.Events) / s.ElapsedSec
-		s.Utilization = float64(busyNanos) / 1e9 / (s.ElapsedSec * float64(len(c.shards)))
+		s.Utilization = float64(busyNanos) / 1e9 / (s.ElapsedSec * float64(pool))
 	}
 	s.SimP50Ms = float64(stats.Log2Quantile(buckets, 0.50)) / 1e6
 	s.SimP90Ms = float64(stats.Log2Quantile(buckets, 0.90)) / 1e6

@@ -5,16 +5,18 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dmexplore/internal/telemetry/span"
 )
 
 func TestSnapshotMergesShards(t *testing.T) {
 	col := NewCollector(4)
 	for w := 0; w < 4; w++ {
-		sh := col.Shard(w)
-		sh.ObserveSim(2*time.Millisecond, 100)
-		sh.CacheMiss()
+		sh, ring := col.Shard(w), col.Spans().Ring(w)
+		ring.Record(span.StageFullSim, 0, 2*time.Millisecond, 100)
+		ring.Record(span.StageCacheProbe, 0, time.Microsecond, 0)
 		if w%2 == 0 {
-			sh.CacheHit()
+			ring.Record(span.StageCacheProbe, 0, time.Microsecond, 1)
 		}
 		sh.AddBusy(3 * time.Millisecond)
 	}
@@ -80,14 +82,14 @@ func TestSnapshotUnderConcurrentWorkers(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sh := col.Shard(w)
+			sh, ring := col.Shard(w), col.Spans().Ring(w)
 			for i := 0; i < perWorker; i++ {
-				sh.ObserveSim(time.Duration(i%37)*time.Microsecond, 10)
+				ring.Record(span.StageFullSim, 0, time.Duration(i%37)*time.Microsecond, 10)
+				hit := int64(0)
 				if i%3 == 0 {
-					sh.CacheHit()
-				} else {
-					sh.CacheMiss()
+					hit = 1
 				}
+				ring.Record(span.StageCacheProbe, 0, time.Microsecond, hit)
 				sh.AddBusy(time.Microsecond)
 			}
 		}(w)

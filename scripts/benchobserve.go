@@ -4,11 +4,12 @@
 // records the evidence in BENCH_observe.json at the repository root:
 //
 //  1. Zero perturbation: the same seeded surrogate-assisted hill-climb,
-//     run with the flight recorder attached and without, must produce
-//     the bit-identical evaluation sequence, metrics and provenance —
-//     at one worker and at four.
-//  2. Bounded overhead: recording spans for every pipeline stage must
-//     cost at most maxOverheadPct of wall time. Timing compares
+//     run with a raw-span (traced) recorder and with the aggregates-only
+//     recorder every untraced run holds, must produce the bit-identical
+//     evaluation sequence, metrics and provenance — at one worker and
+//     at four.
+//  2. Bounded overhead: buffering a raw span for every pipeline stage
+//     must cost at most maxOverheadPct of wall time. Timing compares
 //     best-of-rounds interleaved minimums, the standard defence against
 //     scheduler noise on shared CI runners.
 //
@@ -106,18 +107,18 @@ func run() error {
 	}
 
 	// sweep runs the seeded search once and returns its wall time,
-	// fingerprint, and (when traced) the recorder and collector.
+	// fingerprint, recorder and collector.
 	sweep := func(workers int, traced bool) (time.Duration, []evalRecord, *span.Recorder, *telemetry.Collector, error) {
-		col := telemetry.NewCollector(workers)
-		var rec *span.Recorder
+		capacity := 0 // aggregates only, as in every untraced run
+		if traced {
+			capacity = span.DefaultRingCapacity
+		}
+		rec := span.NewRecorder(workers, capacity)
+		col := telemetry.NewCollectorFor(rec)
 		r := &core.Runner{
 			Hierarchy: memhier.EmbeddedSoC(), Trace: tr, Compiled: ct,
 			Workers: workers, Telemetry: col,
 			Surrogate: &core.SurrogateOptions{},
-		}
-		if traced {
-			rec = span.NewRecorder(workers, span.DefaultRingCapacity)
-			r.Spans = rec
 		}
 		start := time.Now()
 		sr, err := r.HillClimb(space, weights, budget, seed)
@@ -198,7 +199,7 @@ func run() error {
 	if err := lastRec.WriteTraceFile(tracePath); err != nil {
 		return err
 	}
-	srv, err := telemetry.Serve("127.0.0.1:0", lastCol, lastRec)
+	srv, err := telemetry.Serve("127.0.0.1:0", lastCol)
 	if err != nil {
 		return err
 	}

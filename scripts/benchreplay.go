@@ -44,7 +44,7 @@ type output struct {
 	Results     []benchResult      `json:"results"`
 	// TelemetryOverheadPct compares BenchmarkReplayTelemetry against
 	// BenchmarkReplayEasyport per configuration: percent of events/sec
-	// lost to the attached telemetry shard. Budget: < 2%.
+	// lost to the attached span ring. Budget: < 2%.
 	TelemetryOverheadPct map[string]float64 `json:"telemetry_overhead_pct,omitempty"`
 }
 

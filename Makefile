@@ -6,9 +6,12 @@ GO ?= go
 .PHONY: tier1
 tier1: vet race fuzz-smoke
 
+# vet also fails on any file gofmt would rewrite.
 .PHONY: vet
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 .PHONY: test
 test:
@@ -43,9 +46,10 @@ bench-search:
 bench-incremental:
 	$(GO) run scripts/benchincremental.go
 
-# bench-parse refreshes BENCH_parse.json: serial vs parallel ingestion of
-# a synthetic block-framed profile log (raw and latency-modelled storage)
-# plus the parallel trace-read bit-identity check. Fails if the
+# bench-parse refreshes BENCH_parse.json: the streaming parser vs the
+# index-driven parallel reader (blockio.Index, shared by traces and
+# profile logs) on a synthetic profile log (raw and latency-modelled
+# storage), plus the parallel trace-read bit-identity check. Fails if the
 # latency-modelled 8-worker speedup drops below 2x, any summary diverges,
 # or the parallel trace read is not bit-identical. CI runs it small; the
 # committed BENCH_parse.json comes from the default 1 GiB run.

@@ -125,7 +125,7 @@ func run(args []string, out io.Writer) error {
 		return runSubmit(out, *submitURL, spec, *outDir)
 	}
 
-	hier, err := pickHierarchy(*hierName)
+	hier, err := memhier.Preset(*hierName)
 	if err != nil {
 		return err
 	}
@@ -143,13 +143,8 @@ func run(args []string, out io.Writer) error {
 	spans := span.NewRecorder(workerN, ringCap)
 	var tr *trace.Trace
 	if *tracePath != "" {
-		f, err := os.Open(*tracePath)
-		if err != nil {
-			return err
-		}
 		ingestStart := time.Now()
-		tr, err = trace.ReadAuto(f)
-		f.Close()
+		tr, err = trace.ReadFile(*tracePath, workerN, nil)
 		if err != nil {
 			return err
 		}
@@ -185,7 +180,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 	} else {
-		space, err = pickSpace(*workloadName, *spaceKind)
+		space, err = core.NamedSpace(*workloadName, *spaceKind)
 		if err != nil {
 			return err
 		}
@@ -675,34 +670,6 @@ func cacheBudgetBytes(mb int) int64 {
 		return -1
 	}
 	return int64(mb) << 20
-}
-
-func pickHierarchy(name string) (*memhier.Hierarchy, error) {
-	switch name {
-	case "soc":
-		return memhier.EmbeddedSoC(), nil
-	case "soc3":
-		return memhier.EmbeddedSoC3Level(), nil
-	case "flat":
-		return memhier.FlatDRAM(), nil
-	default:
-		return nil, fmt.Errorf("unknown hierarchy %q", name)
-	}
-}
-
-func pickSpace(workloadName, kind string) (*core.Space, error) {
-	switch workloadName + "/" + kind {
-	case "easyport/narrow", "synthetic/narrow":
-		return core.EasyportSpace(), nil
-	case "easyport/full", "synthetic/full":
-		return core.FullEasyportSpace(), nil
-	case "vtc/narrow":
-		return core.VTCSpace(), nil
-	case "vtc/full":
-		return core.FullEasyportSpace(), nil // full product applies to any workload
-	default:
-		return nil, fmt.Errorf("no %s space for workload %s", kind, workloadName)
-	}
 }
 
 func writeReports(dir string, space *core.Space, all, feasible, front []core.Result, objs []string) error {

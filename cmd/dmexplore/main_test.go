@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"dmexplore/internal/core"
+	"dmexplore/internal/memhier"
 	"dmexplore/internal/serve"
 	"dmexplore/internal/telemetry"
 	"dmexplore/internal/telemetry/span"
@@ -399,11 +400,11 @@ func TestRunSigintFlushesJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	space, err := pickSpace("easyport", "narrow")
+	space, err := core.NamedSpace("easyport", "narrow")
 	if err != nil {
 		t.Fatal(err)
 	}
-	hier, err := pickHierarchy("soc")
+	hier, err := memhier.Preset("soc")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -140,47 +141,44 @@ func TestMetricsAddr(t *testing.T) {
 	}
 }
 
-// TestLogEmitAndParseLog profiles with a raw log in both encodings, then
-// re-ingests each through the -parselog mode and checks the summaries
-// agree with each other and with the run's access count.
+// TestLogEmitAndParseLog profiles with a raw log, then re-ingests it
+// through the -parselog mode at one and at four workers: both take the
+// block-index path (an ingest line with block counters) and agree on the
+// record totals, which match the run's access count.
 func TestLogEmitAndParseLog(t *testing.T) {
-	dir := t.TempDir()
-	var words []string
-	for _, format := range []string{"v2", "v1"} {
-		logPath := filepath.Join(dir, "run."+format+".log")
-		var out bytes.Buffer
-		err := run([]string{"-workload", "easyport", "-scale", "5", "-preset", "lea",
-			"-log", logPath, "-log-format", format}, &out)
-		if err != nil {
-			t.Fatalf("%s profile: %v", format, err)
+	logPath := filepath.Join(t.TempDir(), "run.log")
+	var out bytes.Buffer
+	err := run([]string{"-workload", "easyport", "-scale", "5", "-preset", "lea",
+		"-log", logPath}, &out)
+	if err != nil {
+		t.Fatalf("profile: %v", err)
+	}
+	accesses := ""
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "accesses" {
+			accesses = f[1]
 		}
+	}
+	var totals []string
+	for _, workers := range []string{"1", "4"} {
 		out.Reset()
-		if err := run([]string{"-parselog", logPath, "-workers", "4"}, &out); err != nil {
-			t.Fatalf("%s parselog: %v", format, err)
+		if err := run([]string{"-parselog", logPath, "-workers", workers}, &out); err != nil {
+			t.Fatalf("workers=%s parselog: %v", workers, err)
 		}
 		s := out.String()
-		if !strings.Contains(s, "records") {
-			t.Fatalf("%s parselog output:\n%s", format, s)
-		}
-		if format == "v2" && !strings.Contains(s, "blocks") {
-			t.Fatalf("v2 parselog missing ingest counters:\n%s", s)
+		if !regexp.MustCompile(`(?m)^ingest +\d+ records in \d+ blocks`).MatchString(s) {
+			t.Fatalf("workers=%s parselog missing the block ingest line:\n%s", workers, s)
 		}
 		for _, line := range strings.Split(s, "\n") {
 			if strings.HasPrefix(line, "records") {
-				words = append(words, line)
+				totals = append(totals, line)
 			}
 		}
 	}
-	if len(words) != 2 || words[0] != words[1] {
-		t.Fatalf("v2 and v1 logs summarize differently: %q", words)
+	if len(totals) != 2 || totals[0] != totals[1] {
+		t.Fatalf("worker counts summarize differently: %q", totals)
 	}
-}
-
-func TestBadLogFormatRejected(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"-workload", "easyport", "-scale", "5", "-preset", "lea",
-		"-log-format", "v9"}, &out)
-	if err == nil {
-		t.Fatal("bad -log-format accepted")
+	if accesses == "" || !strings.Contains(totals[0], "("+accesses+" words)") {
+		t.Fatalf("log totals %q do not match the run's %s accesses", totals[0], accesses)
 	}
 }

@@ -2,7 +2,7 @@
 //
 // Examples:
 //
-//	dmtrace -workload easyport -o easyport.dmt            # binary trace (v2)
+//	dmtrace -workload easyport -o easyport.dmt            # binary trace
 //	dmtrace -workload vtc -format text -o vtc.trace       # text trace
 //	dmtrace -in easyport.dmt -stats                       # analyze a trace
 //	dmtrace -in big.dmt -workers 8 -o big.trace -format text   # convert
@@ -36,13 +36,20 @@ func run(args []string, out io.Writer) error {
 		seed         = fs.Uint64("seed", 1, "generate: workload RNG seed")
 		inPath       = fs.String("in", "", "inspect: read a trace file instead of generating")
 		outPath      = fs.String("o", "", "write the trace to this file")
-		format       = fs.String("format", "binary", "output format: binary|v2|v1|text (binary = v2)")
+		format       = fs.String("format", "binary", "output format: binary|text")
 		workers      = fs.Int("workers", runtime.GOMAXPROCS(0), "parallel workers for reading block-framed (v2) traces")
 		showStats    = fs.Bool("stats", false, "print trace statistics")
 		validate     = fs.Bool("validate", true, "validate the trace")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	write, ok := map[string]func(io.Writer, *trace.Trace) error{
+		"binary": trace.WriteBinaryV2,
+		"text":   trace.WriteText,
+	}[*format]
+	if !ok {
+		return fmt.Errorf("unknown format %q (want binary|text)", *format)
 	}
 
 	var tr *trace.Trace
@@ -87,17 +94,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		defer f.Close()
-		switch *format {
-		case "binary", "v2":
-			err = trace.WriteBinaryV2(f, tr)
-		case "v1":
-			err = trace.WriteBinary(f, tr)
-		case "text":
-			err = trace.WriteText(f, tr)
-		default:
-			return fmt.Errorf("unknown format %q", *format)
-		}
-		if err != nil {
+		if err := write(f, tr); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "wrote %s (%s)\n", *outPath, *format)

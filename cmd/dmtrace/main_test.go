@@ -65,29 +65,28 @@ func TestBinaryDenserOnDisk(t *testing.T) {
 
 // TestConvertRoundTripBitIdentical drives the CLI through every format
 // conversion chain and pins that the events survive bit-identically:
-// v2 -> text -> v1 -> v2 must reproduce the original event sequence.
+// binary -> text -> binary must reproduce the original event sequence.
 func TestConvertRoundTripBitIdentical(t *testing.T) {
 	dir := t.TempDir()
 	paths := map[string]string{
-		"v2":   filepath.Join(dir, "a.dmt"),
-		"text": filepath.Join(dir, "b.trace"),
-		"v1":   filepath.Join(dir, "c.dmt"),
-		"back": filepath.Join(dir, "d.dmt"),
+		"binary": filepath.Join(dir, "a.dmt"),
+		"text":   filepath.Join(dir, "b.trace"),
+		"back":   filepath.Join(dir, "c.dmt"),
 	}
 	var out bytes.Buffer
-	if err := run([]string{"-workload", "easyport", "-scale", "5", "-o", paths["v2"]}, &out); err != nil {
+	if err := run([]string{"-workload", "easyport", "-scale", "5", "-o", paths["binary"]}, &out); err != nil {
 		t.Fatal(err)
 	}
 	chain := [][2]string{
-		{paths["v2"], "text"}, {paths["text"], "v1"}, {paths["v1"], "v2"},
+		{paths["binary"], "text"}, {paths["text"], "binary"},
 	}
-	dsts := []string{paths["text"], paths["v1"], paths["back"]}
+	dsts := []string{paths["text"], paths["back"]}
 	for i, step := range chain {
 		if err := run([]string{"-in", step[0], "-format", step[1], "-o", dsts[i]}, &out); err != nil {
 			t.Fatalf("convert %s -> %s: %v", step[0], step[1], err)
 		}
 	}
-	want, err := trace.ReadFile(paths["v2"], 1, nil)
+	want, err := trace.ReadFile(paths["binary"], 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,16 +107,22 @@ func TestConvertRoundTripBitIdentical(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
+	outPath := filepath.Join(t.TempDir(), "x")
 	cases := [][]string{
 		{},                          // neither -workload nor -in
 		{"-workload", "nope"},       // unknown workload
 		{"-in", "/nonexistent.dmt"}, // missing file
-		{"-workload", "easyport", "-scale", "5", "-format", "nope", "-o", "/tmp/x"},
+		{"-workload", "easyport", "-scale", "5", "-format", "nope", "-o", outPath},
+		{"-workload", "easyport", "-scale", "5", "-format", "v1", "-o", outPath}, // retired
 	}
 	for _, args := range cases {
 		var out bytes.Buffer
 		if err := run(args, &out); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+	}
+	// An unknown -format is rejected before any work: no output file.
+	if _, err := os.Stat(outPath); !os.IsNotExist(err) {
+		t.Fatalf("rejected -format left %s behind: %v", outPath, err)
 	}
 }

@@ -20,10 +20,12 @@
 //	         8-byte little-endian footer payload length
 //	         "DMBX" (4-byte trailing magic)
 //
-// The trailing fixed-size fields let ReadIndex find the footer from the
+// The trailing fixed-size fields let OpenIndex find the footer from the
 // end of the file without scanning; the per-block entries let a parallel
 // reader place every block's records into a preallocated slab before any
-// payload byte is decoded.
+// payload byte is decoded. Index.Decode is that reader for every
+// block-framed format: formats supply only their header and a per-block
+// record decoder.
 package blockio
 
 import (
@@ -32,6 +34,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
+	"sync/atomic"
 )
 
 const (
@@ -66,15 +70,15 @@ type Stats interface {
 	CRCFailure()
 }
 
-// Block describes one block from the footer index.
-type Block struct {
+// block describes one block from the footer index.
+type block struct {
 	Offset     int64 // file offset of the block header
 	Records    int64
 	PayloadLen int64
 }
 
-// DataLen returns the block's full on-disk length: header, CRC, payload.
-func (b Block) DataLen() int64 {
+// dataLen returns the block's full on-disk length: header, CRC, payload.
+func (b block) dataLen() int64 {
 	var tmp [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(tmp[:], uint64(b.Records))
 	n += binary.PutUvarint(tmp[:], uint64(b.PayloadLen))
@@ -91,7 +95,7 @@ type Writer struct {
 	target  int
 	payload []byte
 	records int64
-	index   []Block
+	index   []block
 	scratch [binary.MaxVarintLen64]byte
 	err     error
 	closed  bool
@@ -152,7 +156,7 @@ func (w *Writer) emitBlock() {
 	if w.err != nil || w.records == 0 {
 		return
 	}
-	blk := Block{Offset: w.off, Records: w.records, PayloadLen: int64(len(w.payload))}
+	blk := block{Offset: w.off, Records: w.records, PayloadLen: int64(len(w.payload))}
 	n := binary.PutUvarint(w.scratch[:], uint64(w.records))
 	if _, err := w.bw.Write(w.scratch[:n]); err != nil {
 		w.err = err
@@ -196,24 +200,7 @@ func (w *Writer) Close() error {
 		w.err = err
 		return w.err
 	}
-	footer := make([]byte, 0, 16+len(w.index)*6)
-	footer = binary.AppendUvarint(footer, uint64(len(w.index)))
-	prev := int64(0)
-	for _, blk := range w.index {
-		footer = binary.AppendUvarint(footer, uint64(blk.Offset-prev))
-		footer = binary.AppendUvarint(footer, uint64(blk.Records))
-		footer = binary.AppendUvarint(footer, uint64(blk.PayloadLen))
-		prev = blk.Offset
-	}
-	if _, err := w.bw.Write(footer); err != nil {
-		w.err = err
-		return w.err
-	}
-	var tail [footerTrailerLen]byte
-	binary.LittleEndian.PutUint32(tail[0:4], crc32.Checksum(footer, castagnoli))
-	binary.LittleEndian.PutUint64(tail[4:12], uint64(len(footer)))
-	copy(tail[12:], footerMagic)
-	if _, err := w.bw.Write(tail[:]); err != nil {
+	if _, err := w.bw.Write(appendFooter(nil, w.index)); err != nil {
 		w.err = err
 		return w.err
 	}
@@ -221,6 +208,23 @@ func (w *Writer) Close() error {
 		w.err = err
 	}
 	return w.err
+}
+
+// appendFooter appends the footer for index (payload and trailer) to dst.
+func appendFooter(dst []byte, index []block) []byte {
+	start := len(dst)
+	dst = binary.AppendUvarint(dst, uint64(len(index)))
+	prev := int64(0)
+	for _, blk := range index {
+		dst = binary.AppendUvarint(dst, uint64(blk.Offset-prev))
+		dst = binary.AppendUvarint(dst, uint64(blk.Records))
+		dst = binary.AppendUvarint(dst, uint64(blk.PayloadLen))
+		prev = blk.Offset
+	}
+	footer := dst[start:]
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(footer, castagnoli))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(footer)))
+	return append(dst, footerMagic...)
 }
 
 // Reader streams blocks front to back. The caller positions r just after
@@ -309,11 +313,156 @@ func (r *Reader) Next() (int, []byte, error) {
 	return int(records), r.payload, nil
 }
 
-// ParseBlock parses one block at the start of buf (header, CRC, payload),
-// verifies the CRC, and returns the record count, the payload (aliasing
-// buf) and the remaining bytes. Parallel readers run it over in-memory
-// fetch windows. stats may be nil.
-func ParseBlock(buf []byte, stats Stats) (records int64, payload, rest []byte, err error) {
+// FetchWindowBytes is how many contiguous file bytes a worker of
+// Index.Decode fetches per ReadAt. Coalescing adjacent blocks into one
+// request keeps the request count low (the dominant cost on
+// high-latency storage) while leaving enough windows to spread a file
+// across workers. A variable so tests can exercise multi-window
+// decoding on small files.
+var FetchWindowBytes int64 = 4 << 20
+
+// Index is a block-framed file's footer index, checked against the
+// file's layout and coalesced into fetch windows: the one way every
+// block-framed format is read in parallel.
+type Index struct {
+	ra      io.ReaderAt
+	blocks  []block
+	windows []window
+	records int64
+}
+
+// window is a contiguous run of blocks fetched with one ReadAt.
+type window struct {
+	off, length int64
+	first, last int   // block index range [first, last]
+	firstRecord int64 // file-wide index of the window's first record
+}
+
+// OpenIndex reads the footer of a block-framed file of size bytes whose
+// format-specific header ends at headerEnd. It checks that the blocks
+// run contiguously from headerEnd to the end marker, which the footer
+// directly follows, and groups them into fetch windows.
+func OpenIndex(ra io.ReaderAt, size, headerEnd int64) (*Index, error) {
+	blocks, dataEnd, err := readIndex(ra, size)
+	if err != nil {
+		return nil, err
+	}
+	ix := &Index{ra: ra, blocks: blocks}
+	end := headerEnd
+	for i, blk := range blocks {
+		if blk.Offset != end {
+			return nil, fmt.Errorf("blockio: footer index gap at block %d (offset %d, expected %d)", i, blk.Offset, end)
+		}
+		if blk.Records < 1 || blk.Records > blk.PayloadLen {
+			return nil, fmt.Errorf("blockio: footer entry %d: %d records cannot fit in %d payload bytes", i, blk.Records, blk.PayloadLen)
+		}
+		blkEnd := blk.Offset + blk.dataLen()
+		if n := len(ix.windows); n == 0 || blkEnd-ix.windows[n-1].off > FetchWindowBytes {
+			ix.windows = append(ix.windows, window{off: blk.Offset, first: i, firstRecord: ix.records})
+		}
+		w := &ix.windows[len(ix.windows)-1]
+		w.last, w.length = i, blkEnd-w.off
+		ix.records += blk.Records
+		end = blkEnd
+	}
+	if end != dataEnd {
+		return nil, fmt.Errorf("blockio: blocks end at offset %d, end marker at %d", end, dataEnd)
+	}
+	return ix, nil
+}
+
+// Records returns the file's total record count, for preallocation.
+func (ix *Index) Records() int64 { return ix.records }
+
+// Workers returns how many goroutines Decode(workers, ...) runs at most:
+// workers clamped to at least 1 and at most the number of fetch
+// windows. Callers size per-worker state with it.
+func (ix *Index) Workers(workers int) int {
+	return max(1, min(workers, len(ix.windows)))
+}
+
+// BlockFunc consumes one verified block: worker is the decoding
+// goroutine (0 <= worker < Index.Workers), first the file-wide index of
+// the block's first record. payload is valid only during the call.
+type BlockFunc func(worker int, first, records int64, payload []byte) error
+
+// Decode fans the fetch windows out to Workers(workers) goroutines. Each
+// block's CRC and record count are verified against the footer before
+// fn sees it; one worker hands a window's blocks to fn in file order.
+// The first failing window stops the others from starting new windows,
+// and the error of the lowest failing window is returned. stats may be
+// nil.
+func (ix *Index) Decode(workers int, stats Stats, fn BlockFunc) error {
+	if len(ix.windows) == 0 {
+		return nil
+	}
+	n := ix.Workers(workers)
+	var next atomic.Int64
+	var failed atomic.Bool
+	errs := make([]error, len(ix.windows))
+	var wg sync.WaitGroup
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var buf []byte
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= len(ix.windows) {
+					return
+				}
+				if errs[i] = ix.decodeWindow(w, ix.windows[i], &buf, stats, fn); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// decodeWindow fetches one window into buf (per-worker scratch, grown
+// as needed) and hands its blocks to fn.
+func (ix *Index) decodeWindow(worker int, win window, buf *[]byte, stats Stats, fn BlockFunc) error {
+	if int64(cap(*buf)) < win.length {
+		*buf = make([]byte, win.length)
+	}
+	data := (*buf)[:win.length]
+	if n, err := ix.ra.ReadAt(data, win.off); n < len(data) {
+		return fmt.Errorf("blockio: reading blocks %d-%d (offset %d): %w", win.first, win.last, win.off, unexpectedEOF(err))
+	}
+	first := win.firstRecord
+	for b := win.first; b <= win.last; b++ {
+		blk := ix.blocks[b]
+		records, payload, rest, err := parseBlock(data, stats)
+		if err != nil {
+			return fmt.Errorf("blockio: block %d (offset %d): %w", b, blk.Offset, err)
+		}
+		if records != blk.Records || int64(len(payload)) != blk.PayloadLen {
+			return fmt.Errorf("blockio: block %d: header says %d records in %d bytes, footer says %d in %d",
+				b, records, len(payload), blk.Records, blk.PayloadLen)
+		}
+		if err := fn(worker, first, records, payload); err != nil {
+			return fmt.Errorf("blockio: block %d (offset %d): %w", b, blk.Offset, err)
+		}
+		first += records
+		data = rest
+	}
+	if len(data) != 0 {
+		return fmt.Errorf("blockio: blocks %d-%d overrun their footer lengths by %d bytes", win.first, win.last, len(data))
+	}
+	return nil
+}
+
+// parseBlock parses one block at the start of buf (header, CRC,
+// payload), verifies the CRC, and returns the record count, the payload
+// (aliasing buf) and the remaining bytes. stats may be nil.
+func parseBlock(buf []byte, stats Stats) (records int64, payload, rest []byte, err error) {
 	u, n := binary.Uvarint(buf)
 	if n <= 0 {
 		return 0, nil, nil, fmt.Errorf("blockio: truncated block header")
@@ -346,64 +495,71 @@ func ParseBlock(buf []byte, stats Stats) (records int64, payload, rest []byte, e
 	return records, payload, buf[4+payloadLen:], nil
 }
 
-// ReadIndex reads the footer index from the end of a block-framed file
-// and returns the block descriptors in file order.
-func ReadIndex(ra io.ReaderAt, size int64) ([]Block, error) {
-	if size < footerTrailerLen {
-		return nil, fmt.Errorf("blockio: file of %d bytes cannot hold a footer", size)
+// readIndex reads the footer index from the end of a block-framed file.
+// It returns the block descriptors in file order and the offset of the
+// end marker, which must be the byte just before the footer.
+func readIndex(ra io.ReaderAt, size int64) ([]block, int64, error) {
+	if size < footerTrailerLen+1 {
+		return nil, 0, fmt.Errorf("blockio: file of %d bytes cannot hold a footer", size)
 	}
 	var tail [footerTrailerLen]byte
 	if _, err := ra.ReadAt(tail[:], size-footerTrailerLen); err != nil {
-		return nil, fmt.Errorf("blockio: reading footer trailer: %w", err)
+		return nil, 0, fmt.Errorf("blockio: reading footer trailer: %w", err)
 	}
 	if string(tail[12:]) != footerMagic {
-		return nil, fmt.Errorf("blockio: missing footer magic (got %q)", tail[12:])
+		return nil, 0, fmt.Errorf("blockio: missing footer magic (got %q)", tail[12:])
 	}
 	payloadLen := int64(binary.LittleEndian.Uint64(tail[4:12]))
-	if payloadLen < 1 || payloadLen > size-footerTrailerLen {
-		return nil, fmt.Errorf("blockio: implausible footer length %d in a %d-byte file", payloadLen, size)
+	if payloadLen < 1 || payloadLen > size-footerTrailerLen-1 {
+		return nil, 0, fmt.Errorf("blockio: implausible footer length %d in a %d-byte file", payloadLen, size)
 	}
-	footer := make([]byte, payloadLen)
-	if _, err := ra.ReadAt(footer, size-footerTrailerLen-payloadLen); err != nil {
-		return nil, fmt.Errorf("blockio: reading footer: %w", err)
+	// Fetch the end marker with the footer: one request, not two.
+	dataEnd := size - footerTrailerLen - payloadLen - 1
+	footer := make([]byte, 1+payloadLen)
+	if _, err := ra.ReadAt(footer, dataEnd); err != nil {
+		return nil, 0, fmt.Errorf("blockio: reading footer: %w", err)
 	}
+	if footer[0] != 0 {
+		return nil, 0, fmt.Errorf("blockio: no end marker before the footer")
+	}
+	footer = footer[1:]
 	if got := crc32.Checksum(footer, castagnoli); got != binary.LittleEndian.Uint32(tail[0:4]) {
-		return nil, fmt.Errorf("blockio: footer crc mismatch")
+		return nil, 0, fmt.Errorf("blockio: footer crc mismatch")
 	}
 	count, n := binary.Uvarint(footer)
 	if n <= 0 {
-		return nil, fmt.Errorf("blockio: truncated footer block count")
+		return nil, 0, fmt.Errorf("blockio: truncated footer block count")
 	}
 	footer = footer[n:]
 	if count > uint64(size) { // every block needs at least one byte
-		return nil, fmt.Errorf("blockio: implausible block count %d in a %d-byte file", count, size)
+		return nil, 0, fmt.Errorf("blockio: implausible block count %d in a %d-byte file", count, size)
 	}
-	blocks := make([]Block, 0, count)
+	blocks := make([]block, 0, count)
 	prev := int64(0)
 	for i := uint64(0); i < count; i++ {
-		var blk Block
 		var fields [3]uint64
 		for f := range fields {
 			u, n := binary.Uvarint(footer)
 			if n <= 0 {
-				return nil, fmt.Errorf("blockio: truncated footer entry %d", i)
+				return nil, 0, fmt.Errorf("blockio: truncated footer entry %d", i)
 			}
 			fields[f] = u
 			footer = footer[n:]
 		}
-		blk.Offset = prev + int64(fields[0])
-		blk.Records = int64(fields[1])
-		blk.PayloadLen = int64(fields[2])
+		if fields[0] > uint64(size) || fields[1] > maxPayloadLen || fields[2] > maxPayloadLen {
+			return nil, 0, fmt.Errorf("blockio: implausible footer entry %d", i)
+		}
+		blk := block{Offset: prev + int64(fields[0]), Records: int64(fields[1]), PayloadLen: int64(fields[2])}
 		prev = blk.Offset
-		if blk.PayloadLen > maxPayloadLen || blk.Offset+blk.PayloadLen > size {
-			return nil, fmt.Errorf("blockio: footer entry %d (offset %d, payload %d) exceeds the %d-byte file", i, blk.Offset, blk.PayloadLen, size)
+		if blk.Offset+blk.PayloadLen > size {
+			return nil, 0, fmt.Errorf("blockio: footer entry %d (offset %d, payload %d) exceeds the %d-byte file", i, blk.Offset, blk.PayloadLen, size)
 		}
 		blocks = append(blocks, blk)
 	}
 	if len(footer) != 0 {
-		return nil, fmt.Errorf("blockio: %d trailing footer bytes", len(footer))
+		return nil, 0, fmt.Errorf("blockio: %d trailing footer bytes", len(footer))
 	}
-	return blocks, nil
+	return blocks, dataEnd, nil
 }
 
 // unexpectedEOF converts a bare io.EOF into io.ErrUnexpectedEOF: inside a

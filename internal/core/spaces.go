@@ -194,6 +194,22 @@ func growthAxis() Axis {
 	}}
 }
 
+// NamedSpace returns the built-in space of the given kind (narrow|full)
+// for a workload: the one name table every command and the exploration
+// service resolve -space with. The full product applies to any workload.
+func NamedSpace(workloadName, kind string) (*Space, error) {
+	switch workloadName + "/" + kind {
+	case "easyport/narrow", "synthetic/narrow":
+		return EasyportSpace(), nil
+	case "easyport/full", "synthetic/full", "vtc/full":
+		return FullEasyportSpace(), nil
+	case "vtc/narrow":
+		return VTCSpace(), nil
+	default:
+		return nil, fmt.Errorf("no %s space for workload %s", kind, workloadName)
+	}
+}
+
 // FullEasyportSpace is the complete parameter product for the Easyport
 // case study: 5·2·5·4·3·2·3·3·2·3 = 64,800 configurations (experiment E5's
 // "tens of thousands").

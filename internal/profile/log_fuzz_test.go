@@ -1,11 +1,12 @@
 package profile
 
-// Native fuzz target for the raw profile-log parser. Seeds cover both
-// encodings (v1 bare stream, v2 block-framed) from the deterministic
-// synthetic generator, so the fuzzer mutates from deep inside the valid
-// format space. The property under test: whenever the serial parser
-// accepts an input, the parallel parser must accept it too and produce
-// the identical summary.
+// Native fuzz target for the raw profile-log parser. Seeds come from the
+// deterministic synthetic generator, each also with its "DMPL" header
+// stripped (which both parsers must reject), so the fuzzer mutates from
+// deep inside the valid format space. The property under test: the
+// index-driven parallel parser is stricter than the streaming one (it
+// needs the footer) but never looser — whatever it accepts, the serial
+// parser accepts with the identical summary.
 
 import (
 	"bytes"
@@ -13,31 +14,28 @@ import (
 )
 
 func FuzzParseLog(f *testing.F) {
-	for _, format := range []LogFormat{LogV1, LogV2} {
-		for _, records := range []int{0, 1, 1000} {
-			var buf bytes.Buffer
-			if err := WriteSyntheticLog(&buf, records, format, 7); err != nil {
-				f.Fatal(err)
-			}
-			f.Add(buf.Bytes())
+	var logs [][]byte
+	for _, records := range []int{0, 1, 1000} {
+		var buf bytes.Buffer
+		if err := WriteSyntheticLog(&buf, records, 7); err != nil {
+			f.Fatal(err)
 		}
+		logs = append(logs, buf.Bytes())
+		f.Add(buf.Bytes()[len(logMagic)+1:])
+	}
+	for _, data := range logs {
+		f.Add(data)
 	}
 	f.Add([]byte(logMagic + "\x02\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseLog(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
 		for _, workers := range []int{1, 4} {
 			p, perr := ParseLogParallel(bytes.NewReader(data), int64(len(data)), workers, nil)
 			if perr != nil {
-				// The parallel path additionally requires the footer index;
-				// a truncated-but-serially-parsable v2 tail may fail here.
-				// It must never fail on v1 input (pure serial fallback).
-				if !bytes.HasPrefix(data, []byte(logMagic)) {
-					t.Fatalf("workers=%d: parallel rejected v1 input the serial parser accepted: %v", workers, perr)
-				}
 				continue
+			}
+			if err != nil {
+				t.Fatalf("workers=%d: parallel accepted input the serial parser rejects: %v", workers, err)
 			}
 			if !SameSummary(p, s) {
 				t.Fatalf("workers=%d: parallel summary diverged from serial", workers)

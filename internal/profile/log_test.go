@@ -6,14 +6,15 @@ import (
 	"testing"
 
 	"dmexplore/internal/alloc"
+	"dmexplore/internal/blockio"
 	"dmexplore/internal/memhier"
 )
 
-// syntheticLog returns a v2 (or v1) synthetic log and its serial summary.
-func syntheticLog(t *testing.T, records int, format LogFormat) ([]byte, *LogSummary) {
+// syntheticLog returns a synthetic log and its serial summary.
+func syntheticLog(t *testing.T, records int) ([]byte, *LogSummary) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteSyntheticLog(&buf, records, format, 99); err != nil {
+	if err := WriteSyntheticLog(&buf, records, 99); err != nil {
 		t.Fatal(err)
 	}
 	s, err := ParseLog(bytes.NewReader(buf.Bytes()))
@@ -27,10 +28,10 @@ func syntheticLog(t *testing.T, records int, format LogFormat) ([]byte, *LogSumm
 }
 
 func TestParseLogParallelMatchesSerial(t *testing.T) {
-	defer func(w int64) { logFetchWindowBytes = w }(logFetchWindowBytes)
-	logFetchWindowBytes = 64 << 10 // several fetch windows on a small log
+	defer func(w int64) { blockio.FetchWindowBytes = w }(blockio.FetchWindowBytes)
+	blockio.FetchWindowBytes = 64 << 10 // several fetch windows on a small log
 
-	data, want := syntheticLog(t, 400_000, LogV2) // a few MB, many blocks
+	data, want := syntheticLog(t, 400_000) // a few MB, many blocks
 	for _, workers := range []int{1, 2, 4, 8} {
 		got, err := ParseLogParallel(bytes.NewReader(data), int64(len(data)), workers, nil)
 		if err != nil {
@@ -42,35 +43,39 @@ func TestParseLogParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestParseLogV1StillReadable(t *testing.T) {
-	data, want := syntheticLog(t, 50_000, LogV1)
-	if bytes.HasPrefix(data, []byte(logMagic)) {
-		t.Fatal("v1 log carries the v2 magic")
+func TestParseLogRejectsHeaderlessLog(t *testing.T) {
+	data, _ := syntheticLog(t, 50_000)
+	bare := data[len(logMagic)+1:] // blocks without the "DMPL" header
+	if _, err := ParseLog(bytes.NewReader(bare)); err == nil {
+		t.Fatal("serial parse accepted a log without the header")
 	}
-	// The parallel entry point must fall back to the serial parser.
-	got, err := ParseLogParallel(bytes.NewReader(data), int64(len(data)), 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !SameSummary(got, want) {
-		t.Fatal("v1 fallback summary diverged")
+	if _, err := ParseLogParallel(bytes.NewReader(bare), int64(len(bare)), 8, nil); err == nil {
+		t.Fatal("parallel parse accepted a log without the header")
 	}
 }
 
 func TestLogFormatsAgree(t *testing.T) {
-	// The same records in both encodings must summarize identically.
-	v1, s1 := syntheticLog(t, 30_000, LogV1)
-	v2, s2 := syntheticLog(t, 30_000, LogV2)
-	if !SameSummary(s1, s2) {
-		t.Fatal("v1 and v2 of the same records disagree")
+	// Block framing must stay a small constant over the bare records.
+	data, _ := syntheticLog(t, 30_000)
+	r := blockio.NewReader(bytes.NewReader(data[len(logMagic)+1:]), nil)
+	recordBytes := 0
+	for {
+		_, payload, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		recordBytes += len(payload)
 	}
-	if len(v2) >= len(v1)+4096 {
-		t.Fatalf("v2 framing overhead too large: %d vs %d bytes", len(v2), len(v1))
+	if len(data) >= recordBytes+4096 {
+		t.Fatalf("v2 framing overhead too large: %d vs %d bytes", len(data), recordBytes)
 	}
 }
 
 func TestParseLogV2DetectsCorruption(t *testing.T) {
-	data, _ := syntheticLog(t, 100_000, LogV2)
+	data, _ := syntheticLog(t, 100_000)
 	corrupt := bytes.Clone(data)
 	corrupt[len(corrupt)/3] ^= 0x10
 	if _, err := ParseLog(bytes.NewReader(corrupt)); err == nil {
@@ -111,15 +116,10 @@ func (f *failingWriter) Write(p []byte) (int, error) {
 func TestRunSurfacesLogWriteErrorEarly(t *testing.T) {
 	tr := smallEasyport(t)
 	h := memhier.EmbeddedSoC()
-	for _, format := range []LogFormat{LogV2, LogV1} {
-		fw := &failingWriter{n: 4096, err: io.ErrShortWrite}
-		_, err := Run(tr, alloc.LeaConfig(memhier.LayerDRAM), h, Options{
-			LogWriter: fw,
-			LogFormat: format,
-		})
-		if err == nil {
-			t.Fatalf("format %d: dead log writer not surfaced", format)
-		}
+	fw := &failingWriter{n: 4096, err: io.ErrShortWrite}
+	_, err := Run(tr, alloc.LeaConfig(memhier.LayerDRAM), h, Options{LogWriter: fw})
+	if err == nil {
+		t.Fatal("dead log writer not surfaced")
 	}
 }
 

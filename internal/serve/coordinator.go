@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"dmexplore/internal/core"
+	"dmexplore/internal/memhier"
 	"dmexplore/internal/pareto"
 	"dmexplore/internal/profile"
 	"dmexplore/internal/recordlog"
@@ -237,7 +238,7 @@ func (c *Coordinator) loadJob(path string) error {
 // newJob builds the in-memory job (no checkpoint writes). Caller holds
 // no particular lock during load; Submit holds c.mu.
 func (c *Coordinator) newJob(id string, spec JobSpec) (*job, error) {
-	space, err := ResolveSpace(spec.Workload, spec.Space)
+	space, err := core.NamedSpace(spec.Workload, spec.Space)
 	if err != nil {
 		return nil, err
 	}
@@ -315,7 +316,7 @@ func (c *Coordinator) Submit(spec JobSpec) (string, error) {
 	if _, err := workload.New(spec.Workload, spec.WorkloadSeed, spec.Scale); err != nil {
 		return "", err
 	}
-	if _, err := ResolveHierarchy(spec.Hierarchy); err != nil {
+	if _, err := memhier.Preset(spec.Hierarchy); err != nil {
 		return "", err
 	}
 	c.mu.Lock()

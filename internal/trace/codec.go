@@ -19,15 +19,13 @@ import (
 //	x <id> <reads> <writes>
 //	t <cycles>
 //
-// Binary format: "DMTR" magic, version byte, name, then varint-packed
-// event records. Roughly 4-8x denser than text; the profiler's raw logs
-// (which reach gigabytes, as in the paper) use the same varint framing.
-//
-// Version 1 is a single unframed record stream prefixed with a total
-// event count. Version 2 groups the same records into self-delimiting
-// CRC32C blocks with a seekable footer index (internal/blockio), so a
-// reader can verify integrity per block and split a multi-gigabyte file
-// into independent chunks for parallel decoding (ReadBinaryParallel).
+// Binary format: "DMTR" magic, version byte (2), name, then varint-packed
+// event records grouped into self-delimiting CRC32C blocks with a
+// seekable footer index (internal/blockio), so a reader can verify
+// integrity per block and split a multi-gigabyte file into independent
+// chunks for parallel decoding (ReadBinaryParallel). Roughly 4-8x denser
+// than text. The unframed version 1 encoding is retired: its files are
+// rejected with an error naming the version.
 
 // WriteText writes the trace in the text format.
 func WriteText(w io.Writer, t *Trace) error {
@@ -114,9 +112,8 @@ func ReadText(r io.Reader) (*Trace, error) {
 }
 
 const (
-	binaryMagic     = "DMTR"
-	binaryVersion   = 1
-	binaryVersionV2 = 2
+	binaryMagic   = "DMTR"
+	binaryVersion = 2
 
 	// maxNameLen bounds the embedded trace name.
 	maxNameLen = 1 << 16
@@ -124,29 +121,23 @@ const (
 	// maxBinaryEvents bounds the event count a binary trace may claim.
 	// Every event costs at least two bytes on disk, so this cap already
 	// admits multi-terabyte files; a larger claim is a corrupt or hostile
-	// header and is rejected outright rather than silently tolerated.
+	// file and is rejected outright rather than silently tolerated.
 	maxBinaryEvents = 1 << 33
-
-	// preallocEvents caps the Events preallocation taken on faith from a
-	// v1 header. A plausible-but-wrong count must not commit gigabytes
-	// before the first record is decoded; beyond the cap the slice grows
-	// with the records that actually parse.
-	preallocEvents = 1 << 24
 )
 
-// ReadAuto sniffs the trace format (binary magic vs text) and parses
-// accordingly. Both binary versions and the text format are accepted.
-func ReadAuto(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(binaryMagic))
-	if err == nil && string(head) == binaryMagic {
-		return ReadBinary(br)
+// checkVersion rejects every binary version but the block-framed one.
+func checkVersion(version byte) error {
+	if version == 1 {
+		return fmt.Errorf("trace: binary version 1 (the unframed stream) is no longer supported; only version %d is read", binaryVersion)
 	}
-	return ReadText(br)
+	if version != binaryVersion {
+		return fmt.Errorf("trace: unsupported version %d", version)
+	}
+	return nil
 }
 
 // appendEvent appends event i's binary record (kind byte plus varint
-// fields) to buf. The encoding is shared by both binary versions.
+// fields) to buf.
 func appendEvent(buf []byte, e *Event, i int) ([]byte, error) {
 	buf = append(buf, byte(e.Kind))
 	switch e.Kind {
@@ -167,85 +158,63 @@ func appendEvent(buf []byte, e *Event, i int) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeEvent decodes one binary record from the front of buf into e
-// (fully assigning it) and returns the bytes consumed.
-func decodeEvent(buf []byte, e *Event) (int, error) {
+// decodeRecord decodes one binary record from the front of buf into its
+// kind, raw ID and two argument words (Alloc: size; Access: reads and
+// writes; Tick: cycles in a; unused fields are zero) and returns the
+// bytes consumed. Every reader, streaming or parallel, decodes with it.
+func decodeRecord(buf []byte) (kind EventKind, id, a, b uint64, n int, err error) {
 	if len(buf) == 0 {
-		return 0, io.ErrUnexpectedEOF
+		return 0, 0, 0, 0, 0, io.ErrUnexpectedEOF
 	}
-	*e = Event{Kind: EventKind(buf[0])}
-	n := 1
-	bad := false
-	get := func() uint64 {
-		v, k := binary.Uvarint(buf[n:])
+	kind = EventKind(buf[0])
+	if kind < KindAlloc || kind > KindTick {
+		return 0, 0, 0, 0, 0, fmt.Errorf("unknown kind %d", kind)
+	}
+	n = 1
+	var k int
+	if kind == KindTick {
+		a, k = binary.Uvarint(buf[n:])
 		if k <= 0 {
-			bad = true
-			return 0
+			return 0, 0, 0, 0, 0, io.ErrUnexpectedEOF
 		}
-		n += k
-		return v
+		return kind, 0, a, 0, n + k, nil
 	}
-	switch e.Kind {
+	if id, k = binary.Uvarint(buf[n:]); k <= 0 {
+		return 0, 0, 0, 0, 0, io.ErrUnexpectedEOF
+	}
+	n += k
+	if kind == KindFree {
+		return kind, id, 0, 0, n, nil
+	}
+	if a, k = binary.Uvarint(buf[n:]); k <= 0 {
+		return 0, 0, 0, 0, 0, io.ErrUnexpectedEOF
+	}
+	n += k
+	if kind == KindAlloc {
+		return kind, id, a, 0, n, nil
+	}
+	if b, k = binary.Uvarint(buf[n:]); k <= 0 {
+		return 0, 0, 0, 0, 0, io.ErrUnexpectedEOF
+	}
+	return kind, id, a, b, n + k, nil
+}
+
+// makeEvent assembles the Event decodeRecord's fields describe.
+func makeEvent(kind EventKind, id, a, b uint64) Event {
+	switch kind {
 	case KindAlloc:
-		e.ID = get()
-		e.Size = int64(get())
-	case KindFree:
-		e.ID = get()
+		return Event{Kind: kind, ID: id, Size: int64(a)}
 	case KindAccess:
-		e.ID = get()
-		e.Reads = get()
-		e.Writes = get()
+		return Event{Kind: kind, ID: id, Reads: a, Writes: b}
 	case KindTick:
-		e.Cycles = get()
-	default:
-		return 0, fmt.Errorf("unknown kind %d", e.Kind)
+		return Event{Kind: kind, Cycles: a}
 	}
-	if bad {
-		return 0, io.ErrUnexpectedEOF
-	}
-	return n, nil
+	return Event{Kind: kind, ID: id}
 }
 
-// WriteBinary writes the trace in the v1 (unframed varint stream) binary
-// format. New files should prefer WriteBinaryV2; v1 stays as the
-// compatibility writer for tools pinned to the old layout.
-func WriteBinary(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(binaryVersion); err != nil {
-		return err
-	}
-	scratch := make([]byte, 0, 64)
-	scratch = binary.AppendUvarint(scratch, uint64(len(t.Name)))
-	if _, err := bw.Write(scratch); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(t.Name); err != nil {
-		return err
-	}
-	scratch = binary.AppendUvarint(scratch[:0], uint64(len(t.Events)))
-	if _, err := bw.Write(scratch); err != nil {
-		return err
-	}
-	for i := range t.Events {
-		var err error
-		scratch, err = appendEvent(scratch[:0], &t.Events[i], i)
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(scratch); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteBinaryV2 writes the trace in the block-framed v2 binary format:
-// the v1 record encoding grouped into CRC32C blocks with a seekable
-// footer index (see internal/blockio), parseable sequentially or
-// block-parallel.
+// WriteBinaryV2 writes the trace in the block-framed binary format:
+// records grouped into CRC32C blocks with a seekable footer index (see
+// internal/blockio), parseable sequentially or block-parallel.
 func WriteBinaryV2(w io.Writer, t *Trace) error {
 	return writeBinaryV2(w, t, 0)
 }
@@ -259,7 +228,7 @@ func writeBinaryV2(w io.Writer, t *Trace, target int) error {
 	}
 	header := make([]byte, 0, len(binaryMagic)+1+binary.MaxVarintLen64+len(t.Name))
 	header = append(header, binaryMagic...)
-	header = append(header, binaryVersionV2)
+	header = append(header, binaryVersion)
 	header = binary.AppendUvarint(header, uint64(len(t.Name)))
 	header = append(header, t.Name...)
 	bw.WriteHeader(header)
@@ -291,13 +260,10 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ReadBinary parses the binary format, dispatching on the version byte:
-// v1 unframed streams and v2 block-framed files are both accepted.
+// ReadBinary streams a binary trace front to back. It needs no footer
+// index, so it also reads non-seekable input; it is the reference the
+// parallel readers are tested against.
 func ReadBinary(r io.Reader) (*Trace, error) {
-	return readBinary(r, nil)
-}
-
-func readBinary(r io.Reader, stats blockio.Stats) (*Trace, error) {
 	cr := &countingReader{r: r}
 	br := bufio.NewReaderSize(cr, 1<<20)
 	// offset is the stream position of the next unconsumed byte, for
@@ -314,21 +280,41 @@ func readBinary(r io.Reader, stats blockio.Stats) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != binaryVersion && version != binaryVersionV2 {
-		return nil, fmt.Errorf("trace: unsupported version %d", version)
+	if err := checkVersion(version); err != nil {
+		return nil, err
 	}
 	name, err := readBinaryName(br)
 	if err != nil {
 		return nil, err
 	}
-	if version == binaryVersion {
-		return readBinaryV1(br, name, offset)
+	t := &Trace{Name: name}
+	blocks := blockio.NewReader(br, nil)
+	for block := 0; ; block++ {
+		records, payload, err := blocks.Next()
+		if err == io.EOF {
+			return t, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("trace: byte offset %d: %w", offset(), err)
+		}
+		if uint64(len(t.Events))+uint64(records) > maxBinaryEvents {
+			return nil, fmt.Errorf("trace: more than %d events — corrupt or hostile file", uint64(maxBinaryEvents))
+		}
+		for k := 0; k < records; k++ {
+			kind, id, a, b, n, err := decodeRecord(payload)
+			if err != nil {
+				return nil, fmt.Errorf("trace: block %d, record %d (event %d): %w", block, k, len(t.Events), err)
+			}
+			payload = payload[n:]
+			t.Events = append(t.Events, makeEvent(kind, id, a, b))
+		}
+		if err := checkDrained(payload, int64(records)); err != nil {
+			return nil, fmt.Errorf("trace: block %d: %w", block, err)
+		}
 	}
-	return readBinaryV2(br, name, offset, stats)
 }
 
-// readBinaryName reads the uvarint-prefixed trace name both binary
-// versions share.
+// readBinaryName reads the uvarint-prefixed trace name.
 func readBinaryName(br *bufio.Reader) (string, error) {
 	nameLen, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -342,95 +328,4 @@ func readBinaryName(br *bufio.Reader) (string, error) {
 		return "", fmt.Errorf("trace: reading name: %w", err)
 	}
 	return string(name), nil
-}
-
-// readBinaryV1 parses the unframed v1 record stream following the header.
-func readBinaryV1(br *bufio.Reader, name string, offset func() int64) (*Trace, error) {
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading event count: %w", err)
-	}
-	if count > maxBinaryEvents {
-		return nil, fmt.Errorf("trace: implausible event count %d (max %d) — corrupt or hostile header", count, uint64(maxBinaryEvents))
-	}
-	t := &Trace{Name: name}
-	prealloc := count
-	if prealloc > preallocEvents {
-		prealloc = preallocEvents
-	}
-	t.Events = make([]Event, 0, prealloc)
-	for i := uint64(0); i < count; i++ {
-		kind, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("trace: truncated at event %d of %d (byte offset %d): %w", i, count, offset(), unexpectedEOF(err))
-		}
-		e := Event{Kind: EventKind(kind)}
-		read := func() (uint64, error) { return binary.ReadUvarint(br) }
-		switch e.Kind {
-		case KindAlloc:
-			if e.ID, err = read(); err == nil {
-				var sz uint64
-				sz, err = read()
-				e.Size = int64(sz)
-			}
-		case KindFree:
-			e.ID, err = read()
-		case KindAccess:
-			if e.ID, err = read(); err == nil {
-				if e.Reads, err = read(); err == nil {
-					e.Writes, err = read()
-				}
-			}
-		case KindTick:
-			e.Cycles, err = read()
-		default:
-			return nil, fmt.Errorf("trace: event %d (byte offset %d): unknown kind %d", i, offset(), kind)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: truncated at event %d of %d (byte offset %d): %w", i, count, offset(), unexpectedEOF(err))
-		}
-		t.Events = append(t.Events, e)
-	}
-	return t, nil
-}
-
-// readBinaryV2 streams the block-framed v2 format following the header.
-func readBinaryV2(br *bufio.Reader, name string, offset func() int64, stats blockio.Stats) (*Trace, error) {
-	t := &Trace{Name: name}
-	blocks := blockio.NewReader(br, stats)
-	block := 0
-	for {
-		records, payload, err := blocks.Next()
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: byte offset %d: %w", offset(), err)
-		}
-		if uint64(len(t.Events))+uint64(records) > maxBinaryEvents {
-			return nil, fmt.Errorf("trace: more than %d events — corrupt or hostile file", uint64(maxBinaryEvents))
-		}
-		for k := 0; k < records; k++ {
-			var e Event
-			n, err := decodeEvent(payload, &e)
-			if err != nil {
-				return nil, fmt.Errorf("trace: block %d, record %d (event %d): %w", block, k, len(t.Events), err)
-			}
-			payload = payload[n:]
-			t.Events = append(t.Events, e)
-		}
-		if len(payload) != 0 {
-			return nil, fmt.Errorf("trace: block %d: %d payload bytes beyond its %d records", block, len(payload), records)
-		}
-		block++
-	}
-}
-
-// unexpectedEOF converts a clean EOF into io.ErrUnexpectedEOF: running
-// out of bytes mid-structure is truncation.
-func unexpectedEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
 }

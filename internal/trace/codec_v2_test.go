@@ -2,13 +2,13 @@ package trace
 
 import (
 	"bytes"
-	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"dmexplore/internal/blockio"
 	"dmexplore/internal/stats"
 )
 
@@ -48,20 +48,12 @@ func TestBinaryV2RoundTrip(t *testing.T) {
 		if got.Name != tr.Name || !reflect.DeepEqual(got.Events, tr.Events) {
 			t.Fatalf("%s: v2 round trip diverged", tr.Name)
 		}
-		// ReadAuto must sniff v2 like any other format.
-		auto, err := ReadAuto(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(auto.Events, tr.Events) {
-			t.Fatalf("%s: ReadAuto diverged on v2", tr.Name)
-		}
 	}
 }
 
 func TestReadBinaryParallelMatchesSequential(t *testing.T) {
-	defer func(w int64) { fetchWindowBytes = w }(fetchWindowBytes)
-	fetchWindowBytes = 16 << 10 // many fetch groups on a small file
+	defer func(w int64) { blockio.FetchWindowBytes = w }(blockio.FetchWindowBytes)
+	blockio.FetchWindowBytes = 16 << 10 // many fetch windows on a small file
 
 	tr := randomTrace("par", 50000, 11)
 	var buf bytes.Buffer
@@ -92,21 +84,13 @@ func TestReadBinaryParallelMatchesSequential(t *testing.T) {
 		if !reflect.DeepEqual(gotCompiled, wantCompiled) {
 			t.Fatalf("workers=%d: compiled trace diverged", workers)
 		}
-	}
-}
-
-func TestReadBinaryParallelV1Fallback(t *testing.T) {
-	tr := randomTrace("v1fb", 5000, 3)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinaryParallel(bytes.NewReader(buf.Bytes()), int64(buf.Len()), 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Events, tr.Events) {
-		t.Fatal("v1 fallback diverged")
+		slab, err := CompileBinaryParallel(bytes.NewReader(data), int64(len(data)), workers, nil)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(slab, wantCompiled) {
+			t.Fatalf("workers=%d: direct-to-slab compile diverged", workers)
+		}
 	}
 }
 
@@ -115,7 +99,6 @@ func TestReadFileAllFormats(t *testing.T) {
 	dir := t.TempDir()
 	writers := map[string]func(*os.File) error{
 		"text": func(f *os.File) error { return WriteText(f, tr) },
-		"v1":   func(f *os.File) error { return WriteBinary(f, tr) },
 		"v2":   func(f *os.File) error { return WriteBinaryV2(f, tr) },
 	}
 	for format, write := range writers {
@@ -163,34 +146,20 @@ func TestBinaryV2CorruptionDetected(t *testing.T) {
 	}
 }
 
-func TestBinaryV1ImplausibleCountRejected(t *testing.T) {
+func TestBinaryV1HeaderRejected(t *testing.T) {
 	var buf bytes.Buffer
-	buf.WriteString("DMTR")
-	buf.WriteByte(1)
-	buf.WriteByte(0) // empty name
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], 1<<40) // claims a trillion events
-	buf.Write(tmp[:n])
-	_, err := ReadBinary(bytes.NewReader(buf.Bytes()))
-	if err == nil || !strings.Contains(err.Error(), "implausible event count") {
-		t.Fatalf("hostile count not rejected clearly: %v", err)
-	}
-}
-
-func TestBinaryV1TruncationNamesOffsetAndEvent(t *testing.T) {
-	tr := randomTrace("trunc", 2000, 13)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
+	if err := WriteBinaryV2(&buf, randomTrace("v1hdr", 2000, 13)); err != nil {
 		t.Fatal(err)
 	}
-	cut := buf.Len() * 2 / 3
-	_, err := ReadBinary(bytes.NewReader(buf.Bytes()[:cut]))
-	if err == nil {
-		t.Fatal("truncated stream accepted")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "byte offset") || !strings.Contains(msg, "truncated at event") {
-		t.Fatalf("truncation error lacks context: %v", err)
+	data := bytes.Clone(buf.Bytes())
+	data[len(binaryMagic)] = 1 // the retired unframed version
+	_, serr := ReadBinary(bytes.NewReader(data))
+	_, perr := ReadBinaryParallel(bytes.NewReader(data), int64(len(data)), 4, nil)
+	_, cerr := CompileBinaryParallel(bytes.NewReader(data), int64(len(data)), 4, nil)
+	for _, err := range []error{serr, perr, cerr} {
+		if err == nil || !strings.Contains(err.Error(), "version 1") {
+			t.Fatalf("version-1 header not rejected by name: %v", err)
+		}
 	}
 }
 
@@ -209,5 +178,27 @@ func TestBinaryV2MissingFooterFailsParallelOnly(t *testing.T) {
 	// ...but the index-driven parallel reader must refuse loudly.
 	if _, err := ReadBinaryParallel(bytes.NewReader(data), int64(len(data)), 4, nil); err == nil {
 		t.Fatal("parallel read accepted a chopped footer")
+	}
+}
+
+func TestBinaryV2CorruptWindowsReturn(t *testing.T) {
+	defer func(w int64) { blockio.FetchWindowBytes = w }(blockio.FetchWindowBytes)
+	blockio.FetchWindowBytes = 8 << 10 // more windows than workers
+	var buf bytes.Buffer
+	if err := writeBinaryV2(&buf, randomTrace("allbad", 50000, 11), 4096); err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Clone(buf.Bytes())
+	// Flip a byte every 1 KiB through the first half of the blocks:
+	// both workers fail on their first windows while later windows are
+	// still pending, and the read must return instead of waiting on them.
+	for off := len(binaryMagic) + 64; off < len(data)/2; off += 1024 {
+		data[off] ^= 0xff
+	}
+	if _, err := ReadBinaryParallel(bytes.NewReader(data), int64(len(data)), 2, nil); err == nil {
+		t.Fatal("parallel read accepted corruption")
+	}
+	if _, err := CompileBinaryParallel(bytes.NewReader(data), int64(len(data)), 2, nil); err == nil {
+		t.Fatal("parallel compile accepted corruption")
 	}
 }

@@ -1,9 +1,9 @@
 package trace_test
 
 // Native fuzz targets for the three trace decoders. The corpus is seeded
-// with real easyport and VTC workload traces in every supported encoding
-// (text, binary v1, block-framed v2), so the fuzzer starts from deep
-// inside the valid format space instead of rediscovering the magic bytes.
+// with real easyport and VTC workload traces in both encodings (text,
+// block-framed binary), so the fuzzer starts from deep inside the valid
+// format space instead of rediscovering the magic bytes.
 // Run continuously with `go test -fuzz`, or as a smoke pass over the
 // seeds by the ordinary test run (`make tier1` includes a short real
 // fuzz of each target).
@@ -50,14 +50,15 @@ func seedTraces(f *testing.F) []*trace.Trace {
 
 func FuzzReadBinary(f *testing.F) {
 	for _, tr := range seedTraces(f) {
-		var v1, v2 bytes.Buffer
-		if err := trace.WriteBinary(&v1, tr); err != nil {
-			f.Fatal(err)
-		}
+		var v2 bytes.Buffer
 		if err := trace.WriteBinaryV2(&v2, tr); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(v1.Bytes())
+		// The same file under the retired version byte: every reader
+		// must reject it.
+		v1 := bytes.Clone(v2.Bytes())
+		v1[4] = 1
+		f.Add(v1)
 		f.Add(v2.Bytes())
 	}
 	f.Add([]byte("DMTR\x01\x00\x00"))
@@ -84,6 +85,17 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(colBuf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := trace.ReadBinary(bytes.NewReader(data))
+		// The index-driven reader is stricter (it needs the footer) but
+		// never looser: whatever it accepts, the streaming reader accepts
+		// with the same events.
+		if raw, perr := trace.ReadBinaryParallel(bytes.NewReader(data), int64(len(data)), 3, nil); perr == nil {
+			if err != nil {
+				t.Fatalf("parallel accepted what the streaming reader rejects: %v", err)
+			}
+			if raw.Name != tr.Name || !sameEvents(raw.Events, tr.Events) {
+				t.Fatal("parallel read of the raw input diverged")
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -5,322 +5,100 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"dmexplore/internal/blockio"
 )
 
-// fetchWindowBytes is how many contiguous file bytes a parallel worker
-// fetches per ReadAt. Coalescing adjacent blocks into one request keeps
-// the request count low (it is the dominant cost on high-latency
-// storage) while staying small enough to spread a file across workers.
-// A variable so tests can exercise multi-window decoding on small files.
-var fetchWindowBytes int64 = 4 << 20
-
-// fetchGroup is a contiguous run of blocks one worker decodes from a
-// single ReadAt.
-type fetchGroup struct {
-	off         int64 // file offset of the first block header
-	length      int64 // bytes covering every block in the group
-	first, last int   // block index range [first, last]
-	eventStart  int64 // slab index of the group's first event
-}
-
-// groupBlocks coalesces the footer index into fetch windows and computes
-// each group's slab start from the per-block record counts.
-func groupBlocks(blocks []blockio.Block) (groups []fetchGroup, total int64, err error) {
-	for i := 0; i < len(blocks); {
-		g := fetchGroup{off: blocks[i].Offset, first: i, eventStart: total}
-		end := blocks[i].Offset
-		for i < len(blocks) {
-			blkEnd := blocks[i].Offset + blocks[i].DataLen()
-			if blocks[i].Offset != end {
-				return nil, 0, fmt.Errorf("trace: footer index gap at block %d (offset %d, expected %d)", i, blocks[i].Offset, end)
-			}
-			if blkEnd-g.off > fetchWindowBytes && i > g.first {
-				break
-			}
-			end = blkEnd
-			total += blocks[i].Records
-			g.last = i
-			i++
-		}
-		g.length = end - g.off
-		groups = append(groups, g)
-	}
-	if total > maxBinaryEvents {
-		return nil, 0, fmt.Errorf("trace: implausible event count %d (max %d) — corrupt or hostile footer", total, int64(maxBinaryEvents))
-	}
-	return groups, total, nil
-}
-
-// ReadBinaryParallel parses a binary trace with up to workers goroutines.
-// V2 files are split along the footer's block index: every block's
-// records are decoded straight into its preallocated slice of the shared
-// event slab, so the merge is free and the result is bit-identical to
-// the sequential ReadBinary. V1 files (no framing to split on) fall back
-// to the sequential reader. stats may be nil.
-func ReadBinaryParallel(ra io.ReaderAt, size int64, workers int, stats blockio.Stats) (*Trace, error) {
-	header := make([]byte, len(binaryMagic)+1+binary.MaxVarintLen64)
-	if int64(len(header)) > size {
-		header = header[:size]
-	}
+// openBinary parses a binary trace's header and opens its footer index.
+func openBinary(ra io.ReaderAt, size int64) (string, *blockio.Index, error) {
+	header := make([]byte, min(size, int64(len(binaryMagic)+1+binary.MaxVarintLen64)))
 	if _, err := ra.ReadAt(header, 0); err != nil && err != io.EOF {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
+		return "", nil, fmt.Errorf("trace: reading header: %w", err)
 	}
 	if len(header) < len(binaryMagic)+1 || string(header[:len(binaryMagic)]) != binaryMagic {
-		return nil, fmt.Errorf("trace: bad magic")
+		return "", nil, fmt.Errorf("trace: bad magic")
 	}
-	if version := header[len(binaryMagic)]; version != binaryVersionV2 || workers <= 1 {
-		// Sequential fallback: v1 has no block structure to parallelize.
-		return readBinary(io.NewSectionReader(ra, 0, size), stats)
+	if err := checkVersion(header[len(binaryMagic)]); err != nil {
+		return "", nil, err
 	}
 	nameLen, n := binary.Uvarint(header[len(binaryMagic)+1:])
 	if n <= 0 {
-		return nil, fmt.Errorf("trace: truncated name length")
+		return "", nil, fmt.Errorf("trace: truncated name length")
 	}
 	if nameLen > maxNameLen {
-		return nil, fmt.Errorf("trace: implausible name length %d", nameLen)
+		return "", nil, fmt.Errorf("trace: implausible name length %d", nameLen)
 	}
 	nameOff := int64(len(binaryMagic) + 1 + n)
 	name := make([]byte, nameLen)
 	if _, err := ra.ReadAt(name, nameOff); err != nil {
-		return nil, fmt.Errorf("trace: reading name: %w", err)
+		return "", nil, fmt.Errorf("trace: reading name: %w", err)
 	}
+	ix, err := blockio.OpenIndex(ra, size, nameOff+int64(nameLen))
+	if err != nil {
+		return "", nil, fmt.Errorf("trace: %w", err)
+	}
+	if ix.Records() > maxBinaryEvents {
+		return "", nil, fmt.Errorf("trace: implausible event count %d (max %d) — corrupt or hostile footer", ix.Records(), int64(maxBinaryEvents))
+	}
+	return string(name), ix, nil
+}
 
-	blocks, err := blockio.ReadIndex(ra, size)
+// ReadBinaryParallel parses a binary trace along its footer index with
+// up to workers goroutines: every block's records are decoded straight
+// into its preallocated slice of the event slab, so the result is
+// bit-identical to the streaming ReadBinary. stats may be nil.
+func ReadBinaryParallel(ra io.ReaderAt, size int64, workers int, stats blockio.Stats) (*Trace, error) {
+	name, ix, err := openBinary(ra, size)
 	if err != nil {
 		return nil, err
 	}
-	groups, total, err := groupBlocks(blocks)
-	if err != nil {
-		return nil, err
+	t := &Trace{Name: name}
+	if ix.Records() > 0 {
+		t.Events = make([]Event, ix.Records())
 	}
-	t := &Trace{Name: string(name)}
-	if len(groups) == 0 {
-		return t, nil
-	}
-	t.Events = make([]Event, total)
-	if len(blocks) > 0 && blocks[0].Offset != nameOff+int64(nameLen) {
-		return nil, fmt.Errorf("trace: first block at offset %d, header ends at %d", blocks[0].Offset, nameOff+int64(nameLen))
-	}
-
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	jobs := make(chan int)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var buf []byte
-			for gi := range jobs {
-				if err := decodeGroup(ra, blocks, groups[gi], t.Events, &buf, stats); err != nil {
-					errs[w] = err
-					return
-				}
+	err = ix.Decode(workers, stats, func(_ int, first, records int64, payload []byte) error {
+		events := t.Events[first : first+records]
+		for i := range events {
+			kind, id, a, b, n, err := decodeRecord(payload)
+			if err != nil {
+				return fmt.Errorf("record %d (event %d): %w", i, first+int64(i), err)
 			}
-		}(w)
-	}
-	for gi := range groups {
-		jobs <- gi
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			events[i] = makeEvent(kind, id, a, b)
+			payload = payload[n:]
 		}
+		return checkDrained(payload, records)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
 	}
 	return t, nil
 }
 
-// decodeGroup fetches one window and decodes its blocks into their slab
-// slices. buf is per-worker scratch, grown as needed and reused.
-func decodeGroup(ra io.ReaderAt, blocks []blockio.Block, g fetchGroup, events []Event, buf *[]byte, stats blockio.Stats) error {
-	if int64(cap(*buf)) < g.length {
-		*buf = make([]byte, g.length)
-	}
-	window := (*buf)[:g.length]
-	if _, err := ra.ReadAt(window, g.off); err != nil {
-		return fmt.Errorf("trace: reading blocks %d-%d (offset %d): %w", g.first, g.last, g.off, unexpectedEOF(err))
-	}
-	next := g.eventStart
-	for b := g.first; b <= g.last; b++ {
-		records, payload, rest, err := blockio.ParseBlock(window, stats)
-		if err != nil {
-			return fmt.Errorf("trace: block %d (offset %d): %w", b, blocks[b].Offset, err)
-		}
-		if records != blocks[b].Records {
-			return fmt.Errorf("trace: block %d: header says %d records, footer says %d", b, records, blocks[b].Records)
-		}
-		window = rest
-		for k := int64(0); k < records; k++ {
-			n, err := decodeEvent(payload, &events[next])
-			if err != nil {
-				return fmt.Errorf("trace: block %d, record %d (event %d): %w", b, k, next, err)
-			}
-			payload = payload[n:]
-			next++
-		}
-		if len(payload) != 0 {
-			return fmt.Errorf("trace: block %d: %d payload bytes beyond its %d records", b, len(payload), records)
-		}
-	}
-	return nil
-}
-
-// ReadFile reads a trace file in any supported format, sniffing binary
-// (either version) vs text. Binary v2 files are decoded block-parallel
-// across workers goroutines (workers <= 1 or v1/text read sequentially).
-// stats may be nil.
-func ReadFile(path string, workers int, stats blockio.Stats) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	var magic [len(binaryMagic)]byte
-	if n, _ := f.ReadAt(magic[:], 0); n == len(magic) && string(magic[:]) == binaryMagic {
-		return ReadBinaryParallel(f, fi.Size(), workers, stats)
-	}
-	return ReadText(f)
-}
-
-// decodeEventSlab decodes one binary record from the front of buf
-// straight into the compiled slabs at index i: the columnar twin of
-// decodeEvent, writing kind/raw-ID/arguments without materializing an
-// Event.
-func decodeEventSlab(buf []byte, kinds []EventKind, rawIDs, argA, argB []uint64, i int64) (int, error) {
-	if len(buf) == 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	kind := EventKind(buf[0])
-	kinds[i] = kind
-	n := 1
-	bad := false
-	get := func() uint64 {
-		v, k := binary.Uvarint(buf[n:])
-		if k <= 0 {
-			bad = true
-			return 0
-		}
-		n += k
-		return v
-	}
-	switch kind {
-	case KindAlloc:
-		rawIDs[i] = get()
-		argA[i] = get()
-	case KindFree:
-		rawIDs[i] = get()
-	case KindAccess:
-		rawIDs[i] = get()
-		argA[i] = get()
-		argB[i] = get()
-	case KindTick:
-		argA[i] = get()
-	default:
-		return 0, fmt.Errorf("unknown kind %d", kind)
-	}
-	if bad {
-		return 0, io.ErrUnexpectedEOF
-	}
-	return n, nil
-}
-
 // CompileBinaryParallel parses a binary trace and compiles it for replay
-// in one step. V2 block-framed files are decoded straight into the
-// compiled trace's columnar slabs along the footer's block index — up to
-// workers goroutines, no intermediate []Event copy — then finalized
-// (validation, dense renumbering) in one sequential pass, so the result
-// is bit-identical to ReadBinary + Compile. V1 files fall back to the
-// sequential reader. stats may be nil.
+// in one step: records are decoded along the footer index by up to
+// workers goroutines straight into the compiled trace's columnar slabs
+// (no intermediate []Event), then finalized (validation, dense
+// renumbering) in one sequential pass, so the result is bit-identical to
+// ReadBinary + Compile. stats may be nil.
 func CompileBinaryParallel(ra io.ReaderAt, size int64, workers int, stats blockio.Stats) (*Compiled, error) {
-	header := make([]byte, len(binaryMagic)+1+binary.MaxVarintLen64)
-	if int64(len(header)) > size {
-		header = header[:size]
-	}
-	if _, err := ra.ReadAt(header, 0); err != nil && err != io.EOF {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if len(header) < len(binaryMagic)+1 || string(header[:len(binaryMagic)]) != binaryMagic {
-		return nil, fmt.Errorf("trace: bad magic")
-	}
-	if version := header[len(binaryMagic)]; version != binaryVersionV2 {
-		// V1 has no block structure to split on or decode in place.
-		t, err := readBinary(io.NewSectionReader(ra, 0, size), stats)
-		if err != nil {
-			return nil, err
-		}
-		return Compile(t)
-	}
-	nameLen, n := binary.Uvarint(header[len(binaryMagic)+1:])
-	if n <= 0 {
-		return nil, fmt.Errorf("trace: truncated name length")
-	}
-	if nameLen > maxNameLen {
-		return nil, fmt.Errorf("trace: implausible name length %d", nameLen)
-	}
-	nameOff := int64(len(binaryMagic) + 1 + n)
-	name := make([]byte, nameLen)
-	if _, err := ra.ReadAt(name, nameOff); err != nil {
-		return nil, fmt.Errorf("trace: reading name: %w", err)
-	}
-
-	blocks, err := blockio.ReadIndex(ra, size)
+	name, ix, err := openBinary(ra, size)
 	if err != nil {
 		return nil, err
 	}
-	groups, total, err := groupBlocks(blocks)
-	if err != nil {
-		return nil, err
-	}
-	c, rawIDs := newCompiled(string(name), int(total))
-	if len(groups) == 0 {
-		return c, nil
-	}
-	if len(blocks) > 0 && blocks[0].Offset != nameOff+int64(nameLen) {
-		return nil, fmt.Errorf("trace: first block at offset %d, header ends at %d", blocks[0].Offset, nameOff+int64(nameLen))
-	}
-
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	jobs := make(chan int)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var buf []byte
-			for gi := range jobs {
-				if err := decodeGroupSlab(ra, blocks, groups[gi], c, rawIDs, &buf, stats); err != nil {
-					errs[w] = err
-					return
-				}
+	c, rawIDs := newCompiled(name, int(ix.Records()))
+	err = ix.Decode(workers, stats, func(_ int, first, records int64, payload []byte) error {
+		for i := first; i < first+records; i++ {
+			kind, id, a, b, n, err := decodeRecord(payload)
+			if err != nil {
+				return fmt.Errorf("record %d (event %d): %w", i-first, i, err)
 			}
-		}(w)
-	}
-	for gi := range groups {
-		jobs <- gi
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			c.kinds[i], rawIDs[i], c.argA[i], c.argB[i] = kind, id, a, b
+			payload = payload[n:]
 		}
+		return checkDrained(payload, records)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
 	}
 	if err := c.finalize(rawIDs); err != nil {
 		return nil, err
@@ -328,59 +106,57 @@ func CompileBinaryParallel(ra io.ReaderAt, size int64, workers int, stats blocki
 	return c, nil
 }
 
-// decodeGroupSlab fetches one window and decodes its blocks straight
-// into the compiled slabs. buf is per-worker scratch, grown as needed
-// and reused.
-func decodeGroupSlab(ra io.ReaderAt, blocks []blockio.Block, g fetchGroup, c *Compiled, rawIDs []uint64, buf *[]byte, stats blockio.Stats) error {
-	if int64(cap(*buf)) < g.length {
-		*buf = make([]byte, g.length)
-	}
-	window := (*buf)[:g.length]
-	if _, err := ra.ReadAt(window, g.off); err != nil {
-		return fmt.Errorf("trace: reading blocks %d-%d (offset %d): %w", g.first, g.last, g.off, unexpectedEOF(err))
-	}
-	next := g.eventStart
-	for b := g.first; b <= g.last; b++ {
-		records, payload, rest, err := blockio.ParseBlock(window, stats)
-		if err != nil {
-			return fmt.Errorf("trace: block %d (offset %d): %w", b, blocks[b].Offset, err)
-		}
-		if records != blocks[b].Records {
-			return fmt.Errorf("trace: block %d: header says %d records, footer says %d", b, records, blocks[b].Records)
-		}
-		window = rest
-		for k := int64(0); k < records; k++ {
-			n, err := decodeEventSlab(payload, c.kinds, rawIDs, c.argA, c.argB, next)
-			if err != nil {
-				return fmt.Errorf("trace: block %d, record %d (event %d): %w", b, k, next, err)
-			}
-			payload = payload[n:]
-			next++
-		}
-		if len(payload) != 0 {
-			return fmt.Errorf("trace: block %d: %d payload bytes beyond its %d records", b, len(payload), records)
-		}
+// checkDrained rejects payload bytes left over after a block's records.
+func checkDrained(payload []byte, records int64) error {
+	if len(payload) != 0 {
+		return fmt.Errorf("%d payload bytes beyond its %d records", len(payload), records)
 	}
 	return nil
 }
 
-// ReadCompiledFile reads a trace file and compiles it for replay in one
-// step. Binary files go through CompileBinaryParallel, so v2 block-framed
-// traces land directly in the columnar slabs without an intermediate
-// []Event copy; text files are parsed then compiled.
-func ReadCompiledFile(path string, workers int, stats blockio.Stats) (*Compiled, error) {
-	f, err := os.Open(path)
+// openFile opens a trace file and reports whether it carries the binary
+// magic (otherwise it is parsed as text).
+func openFile(path string) (f *os.File, size int64, isBinary bool, err error) {
+	f, err = os.Open(path)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, false, err
+	}
+	var magic [len(binaryMagic)]byte
+	n, _ := f.ReadAt(magic[:], 0)
+	return f, fi.Size(), n == len(magic) && string(magic[:]) == binaryMagic, nil
+}
+
+// ReadFile reads a binary or text trace file, sniffing the magic. Binary
+// files are decoded along their footer index with up to workers
+// goroutines, whatever the worker count. stats may be nil.
+func ReadFile(path string, workers int, stats blockio.Stats) (*Trace, error) {
+	f, size, isBinary, err := openFile(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	fi, err := f.Stat()
+	if isBinary {
+		return ReadBinaryParallel(f, size, workers, stats)
+	}
+	return ReadText(f)
+}
+
+// ReadCompiledFile reads a trace file and compiles it for replay in one
+// step. Binary files go through CompileBinaryParallel, landing directly
+// in the columnar slabs; text files are parsed then compiled.
+func ReadCompiledFile(path string, workers int, stats blockio.Stats) (*Compiled, error) {
+	f, size, isBinary, err := openFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var magic [len(binaryMagic)]byte
-	if n, _ := f.ReadAt(magic[:], 0); n == len(magic) && string(magic[:]) == binaryMagic {
-		return CompileBinaryParallel(f, fi.Size(), workers, stats)
+	defer f.Close()
+	if isBinary {
+		return CompileBinaryParallel(f, size, workers, stats)
 	}
 	t, err := ReadText(f)
 	if err != nil {

